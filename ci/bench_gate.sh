@@ -4,9 +4,10 @@
 # BENCH_simulators.json / BENCH_replay.json / BENCH_wdl.json /
 # BENCH_serve.json / BENCH_cluster.json baselines. Two suites additionally
 # carry absolute, machine-independent claims checked within the fresh
-# report: one fused cross-policy replay must stay >= 2x faster than six
-# scratch replays, and restart-warm serving (cache prewarmed from the
-# durable store) must stay within 10x of steady-warm serving.
+# report: six planned-engine replays (one per policy) must stay >= 2x
+# faster than the same six replays on the reference walk, and
+# restart-warm serving (cache prewarmed from the durable store) must stay
+# within 10x of steady-warm serving.
 #
 # The comparison (see crates/bench/src/bin/bench_gate.rs) normalizes by
 # the suite's median fresh/baseline ratio, so a uniformly slower CI
@@ -38,16 +39,16 @@ target/release/bench_gate BENCH_simulators.json "$fresh_dir/BENCH_simulators.jso
 # deep batch pool is what makes those robust on a noisy runner.
 echo "==> measuring the replay suite (small scale)"
 MDS_BENCH_DIR="$fresh_dir" \
-MDS_BENCH_MAX_MS="${MDS_REPLAY_BENCH_MAX_MS:-12000}" \
+MDS_BENCH_MAX_MS="${MDS_BENCH_REPLAY_MAX_MS:-12000}" \
   cargo bench -q --offline -p mds-bench --bench replay -- --scale small
 
 echo "==> comparing the replay suite against its committed baseline"
 target/release/bench_gate BENCH_replay.json "$fresh_dir/BENCH_replay.json"
 
-echo "==> checking the fork-replay speedup claim (fused >= 2x six scratch walks)"
+echo "==> checking the planned-engine speedup claim (six planned >= 2x six reference walks)"
 target/release/bench_gate --min-speedup "$fresh_dir/BENCH_replay.json" \
-  multiscalar/compress_small_8st_scratch_x6 \
-  multiscalar/compress_small_8st_fused_x6 \
+  multiscalar/compress_small_8st_reference_x6 \
+  multiscalar/compress_small_8st_planned_x6 \
   2.0
 
 echo "==> measuring the wdl suite (spec parse, lowering, generated end-to-end)"

@@ -2,9 +2,9 @@
 # Byte-identity gate: every RESULTS_<experiment>.json the repro CLI
 # produces at tiny scale must equal the pinned artifact in ci/pinned/
 # byte for byte, and the small-scale fig5 document must equal its pin in
-# ci/pinned/small/. The second scale exists because tiny traces fork at
-# task 0-2 and exercise little of the cross-policy replay engine; the
-# small fig5 run covers real fork points and long post-fork tails.
+# ci/pinned/small/. The second scale exists because tiny traces are
+# short; the small fig5 run replays long traces with many squashes under
+# every figure-5 policy.
 #
 # The pinned files were captured before the hot-path optimization work
 # (scratch arenas, FxHash maps, dense port ledgers, the planned replay

@@ -1,25 +1,28 @@
-//! Benchmarks for the cross-policy fork-replay engine.
+//! Benchmarks for the planned replay engine against the reference walk.
 //!
 //! Run with `cargo bench --bench replay -- --scale small`; results are
 //! written to `BENCH_replay.json` at the workspace root. The suite
-//! measures the three levers the fork engine pulls:
+//! measures:
 //!
 //! - `plan_build` — one-time cost of lowering a captured trace into the
 //!   structure-of-arrays [`mds_emu::ReplayPlan`];
-//! - per-policy `scratch` vs `planned` replay — the SoA walk with
-//!   pre-resolved dependences against the legacy record-stream walk;
-//! - `scratch_x6` vs `fused_x6` — the paper's actual workload shape: all
-//!   six speculation policies over one trace, either as six independent
-//!   scratch replays or as one fused job sharing the policy-independent
-//!   prefix. The CI bench gate enforces `fused_x6` ≥ 2× `scratch_x6` at
-//!   8 stages.
+//! - per-policy `reference` vs `planned` replay — the SoA walk with
+//!   pre-resolved dependences against the record-stream reference walk
+//!   ([`mds_multiscalar::reference`]);
+//! - `reference_x6` vs `planned_x6` — the paper's actual workload shape:
+//!   all six speculation policies over one trace, replayed one after
+//!   another by each engine. The CI bench gate enforces `planned_x6` ≥ 2×
+//!   `reference_x6` at 8 stages.
 
 use mds_core::Policy;
 use mds_emu::Trace;
 use mds_harness::bench::Harness;
-use mds_multiscalar::{run_fused, run_planned, MsConfig, Multiscalar};
+use mds_multiscalar::{reference, run_planned, MsConfig, MsResult};
 use mds_workloads::{by_name, Scale};
 use std::hint::black_box;
+
+/// One replay engine's entry point.
+type Replay = fn(&Trace, &MsConfig) -> MsResult;
 
 fn main() {
     let mut h = Harness::new("replay");
@@ -44,55 +47,37 @@ fn main() {
     // the steady state (plan built, trace resident) the runner sees.
     let _ = trace.replay_plan();
 
+    let engines: [(&str, Replay); 2] = [("reference", reference::run), ("planned", run_planned)];
     for stages in [4usize, 8] {
         let configs: Vec<MsConfig> = Policy::ALL
             .iter()
             .map(|&policy| MsConfig::paper(stages, policy))
             .collect();
 
-        h.bench_with_throughput(
-            &format!("multiscalar/compress_{tag}_{stages}st_scratch_x6"),
-            n * configs.len() as u64,
-            |b| {
-                b.iter(|| {
-                    let mut cycles = 0u64;
-                    for config in &configs {
-                        let sim = Multiscalar::new(config.clone());
-                        cycles += sim.run_trace(trace.records().iter().copied()).cycles;
-                    }
-                    black_box(cycles)
-                });
-            },
-        );
-
-        h.bench_with_throughput(
-            &format!("multiscalar/compress_{tag}_{stages}st_fused_x6"),
-            n * configs.len() as u64,
-            |b| {
-                b.iter(|| {
-                    let total: u64 = run_fused(&trace, &configs).iter().map(|r| r.cycles).sum();
-                    black_box(total)
-                });
-            },
-        );
+        for (engine, replay) in engines {
+            h.bench_with_throughput(
+                &format!("multiscalar/compress_{tag}_{stages}st_{engine}_x6"),
+                n * configs.len() as u64,
+                |b| {
+                    b.iter(|| {
+                        let cycles: u64 = configs.iter().map(|c| replay(&trace, c).cycles).sum();
+                        black_box(cycles)
+                    });
+                },
+            );
+        }
 
         for policy in [Policy::Always, Policy::Esync] {
             let config = MsConfig::paper(stages, policy);
-            h.bench_with_throughput(
-                &format!("multiscalar/compress_{tag}_{stages}st_{policy}_scratch"),
-                n,
-                |b| {
-                    let sim = Multiscalar::new(config.clone());
-                    b.iter(|| black_box(sim.run_trace(trace.records().iter().copied()).cycles));
-                },
-            );
-            h.bench_with_throughput(
-                &format!("multiscalar/compress_{tag}_{stages}st_{policy}_planned"),
-                n,
-                |b| {
-                    b.iter(|| black_box(run_planned(&trace, &config).cycles));
-                },
-            );
+            for (engine, replay) in engines {
+                h.bench_with_throughput(
+                    &format!("multiscalar/compress_{tag}_{stages}st_{policy}_{engine}"),
+                    n,
+                    |b| {
+                        b.iter(|| black_box(replay(&trace, &config).cycles));
+                    },
+                );
+            }
         }
     }
 

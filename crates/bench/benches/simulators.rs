@@ -1,5 +1,7 @@
 //! Benchmarks for the simulators themselves (throughput of the emulator,
-//! the window analyzer, and the Multiscalar timing model).
+//! the window analyzer, and the Multiscalar timing model). The
+//! `multiscalar/*` series time the public `Multiscalar::run`: emulation,
+//! plan build and replay on the planned engine.
 //!
 //! Run with `cargo bench --bench simulators -- --scale small`; results are
 //! written to `BENCH_simulators.json` at the workspace root. The `--scale`

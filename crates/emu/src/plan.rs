@@ -125,140 +125,177 @@ pub struct ReplayPlan {
     pub load_inter: Vec<u32>,
 }
 
-impl ReplayPlan {
-    /// Builds the plan in one pass over the committed stream.
-    ///
-    /// Task boundaries follow the task splitter's semantics: record 0
-    /// always begins task 0, and a later record begins a new task exactly
-    /// when its `new_task` marker is set.
-    pub fn build(records: &[DynInst]) -> ReplayPlan {
-        let n = records.len();
-        let mut plan = ReplayPlan {
-            pc: Vec::with_capacity(n),
-            op: Vec::with_capacity(n),
-            flags: Vec::with_capacity(n),
-            fu: Vec::with_capacity(n),
-            src1: Vec::with_capacity(n),
-            src2: Vec::with_capacity(n),
-            dst: Vec::with_capacity(n),
-            addr: Vec::with_capacity(n),
-            mem_ord: Vec::with_capacity(n),
-            task_start: Vec::new(),
-            task_start_pc: Vec::new(),
-            task_store_start: Vec::new(),
-            task_load_start: Vec::new(),
-            store_rec: Vec::new(),
-            store_task: Vec::new(),
-            load_rec: Vec::new(),
-            load_intra: Vec::new(),
-            load_inter: Vec::new(),
-        };
-        let mut word: FxHashMap<Addr, KeyState> = FxHashMap::default();
-        let mut byte: FxHashMap<Addr, KeyState> = FxHashMap::default();
-        let mut task: u32 = 0;
+/// Builds a [`ReplayPlan`] one committed record at a time, so a caller
+/// that streams records out of the emulator never has to hold them all.
+///
+/// Task boundaries follow the task splitter's semantics: the first
+/// record always begins task 0, and a later record begins a new task
+/// exactly when its `new_task` marker is set.
+pub struct PlanBuilder {
+    plan: ReplayPlan,
+    word: FxHashMap<Addr, KeyState>,
+    byte: FxHashMap<Addr, KeyState>,
+    task: u32,
+}
 
-        for (i, d) in records.iter().enumerate() {
-            if i == 0 || d.new_task {
-                if i != 0 {
-                    task += 1;
-                }
-                plan.task_start.push(i as u32);
-                plan.task_start_pc.push(d.pc);
-                plan.task_store_start.push(plan.store_rec.len() as u32);
-                plan.task_load_start.push(plan.load_rec.len() as u32);
+impl Default for PlanBuilder {
+    fn default() -> PlanBuilder {
+        PlanBuilder::with_capacity(0)
+    }
+}
+
+impl PlanBuilder {
+    /// A builder with room for `records` records.
+    pub fn with_capacity(records: usize) -> PlanBuilder {
+        let n = records;
+        PlanBuilder {
+            plan: ReplayPlan {
+                pc: Vec::with_capacity(n),
+                op: Vec::with_capacity(n),
+                flags: Vec::with_capacity(n),
+                fu: Vec::with_capacity(n),
+                src1: Vec::with_capacity(n),
+                src2: Vec::with_capacity(n),
+                dst: Vec::with_capacity(n),
+                addr: Vec::with_capacity(n),
+                mem_ord: Vec::with_capacity(n),
+                task_start: Vec::new(),
+                task_start_pc: Vec::new(),
+                task_store_start: Vec::new(),
+                task_load_start: Vec::new(),
+                store_rec: Vec::new(),
+                store_task: Vec::new(),
+                load_rec: Vec::new(),
+                load_intra: Vec::new(),
+                load_inter: Vec::new(),
+            },
+            word: FxHashMap::default(),
+            byte: FxHashMap::default(),
+            task: 0,
+        }
+    }
+
+    /// Appends the next committed record.
+    pub fn push(&mut self, d: &DynInst) {
+        let plan = &mut self.plan;
+        let i = plan.pc.len();
+        if i == 0 || d.new_task {
+            if i != 0 {
+                self.task += 1;
             }
-            plan.pc.push(d.pc);
-            plan.op.push(d.inst.op);
-            let [r1, r2] = d.inst.reads();
-            plan.src1.push(r1.map_or(NO_REG, |r| r.dense_index() as u8));
-            plan.src2.push(r2.map_or(NO_REG, |r| r.dense_index() as u8));
-            plan.dst
-                .push(d.inst.writes().map_or(NO_REG, |r| r.dense_index() as u8));
-            plan.fu.push(match d.inst.op.fu_class() {
-                FuClass::ComplexInt => FU_COMPLEX,
-                FuClass::Fp => FU_FP,
-                FuClass::Branch => FU_BRANCH,
-                FuClass::SimpleInt | FuClass::Mem => FU_SIMPLE,
-            });
-            let mut flags = 0u8;
-            if d.inst.op.is_control() {
-                flags |= F_CONTROL;
-            }
-            match d.mem {
-                Some(mem) if mem.is_store => {
-                    flags |= F_MEM | F_STORE;
-                    plan.addr.push(mem.addr);
-                    let ord = plan.store_rec.len() as u32;
-                    plan.mem_ord.push(ord);
-                    plan.store_rec.push(i as u32);
-                    plan.store_task.push(task);
-                    let (map, key) = if mem.size == 1 {
-                        (&mut byte, mem.addr)
-                    } else {
-                        (&mut word, mem.addr & !7)
-                    };
-                    map.entry(key)
-                        .and_modify(|st| {
-                            if st.youngest_task < task {
-                                st.prev_ord = st.youngest_ord;
-                            }
-                            st.youngest_task = task;
-                            st.youngest_ord = ord;
-                        })
-                        .or_insert(KeyState {
-                            youngest_task: task,
-                            youngest_ord: ord,
-                            prev_ord: NONE,
-                        });
-                }
-                Some(mem) => {
-                    flags |= F_MEM;
-                    plan.addr.push(mem.addr);
-                    plan.mem_ord.push(plan.load_rec.len() as u32);
-                    plan.load_rec.push(i as u32);
-                    // Store ordinals grow with stream position, so "the
-                    // youngest candidate" is simply the largest ordinal —
-                    // both within the task and across earlier tasks.
-                    let mut intra = NONE;
-                    let mut inter = NONE;
-                    let mut consider = |st: Option<&KeyState>| {
-                        if let Some(st) = st {
-                            if st.youngest_task == task {
-                                if intra == NONE || st.youngest_ord > intra {
-                                    intra = st.youngest_ord;
-                                }
-                                if st.prev_ord != NONE && (inter == NONE || st.prev_ord > inter) {
-                                    inter = st.prev_ord;
-                                }
-                            } else if inter == NONE || st.youngest_ord > inter {
-                                inter = st.youngest_ord;
-                            }
+            plan.task_start.push(i as u32);
+            plan.task_start_pc.push(d.pc);
+            plan.task_store_start.push(plan.store_rec.len() as u32);
+            plan.task_load_start.push(plan.load_rec.len() as u32);
+        }
+        let task = self.task;
+        plan.pc.push(d.pc);
+        plan.op.push(d.inst.op);
+        let [r1, r2] = d.inst.reads();
+        plan.src1.push(r1.map_or(NO_REG, |r| r.dense_index() as u8));
+        plan.src2.push(r2.map_or(NO_REG, |r| r.dense_index() as u8));
+        plan.dst
+            .push(d.inst.writes().map_or(NO_REG, |r| r.dense_index() as u8));
+        plan.fu.push(match d.inst.op.fu_class() {
+            FuClass::ComplexInt => FU_COMPLEX,
+            FuClass::Fp => FU_FP,
+            FuClass::Branch => FU_BRANCH,
+            FuClass::SimpleInt | FuClass::Mem => FU_SIMPLE,
+        });
+        let mut flags = 0u8;
+        if d.inst.op.is_control() {
+            flags |= F_CONTROL;
+        }
+        match d.mem {
+            Some(mem) if mem.is_store => {
+                flags |= F_MEM | F_STORE;
+                plan.addr.push(mem.addr);
+                let ord = plan.store_rec.len() as u32;
+                plan.mem_ord.push(ord);
+                plan.store_rec.push(i as u32);
+                plan.store_task.push(task);
+                let (map, key) = if mem.size == 1 {
+                    (&mut self.byte, mem.addr)
+                } else {
+                    (&mut self.word, mem.addr & !7)
+                };
+                map.entry(key)
+                    .and_modify(|st| {
+                        if st.youngest_task < task {
+                            st.prev_ord = st.youngest_ord;
                         }
-                    };
-                    if mem.size == 1 {
-                        consider(byte.get(&mem.addr));
-                        consider(word.get(&(mem.addr & !7)));
-                    } else {
-                        consider(word.get(&(mem.addr & !7)));
-                        for b in 0..8 {
-                            consider(byte.get(&(mem.addr + b)));
+                        st.youngest_task = task;
+                        st.youngest_ord = ord;
+                    })
+                    .or_insert(KeyState {
+                        youngest_task: task,
+                        youngest_ord: ord,
+                        prev_ord: NONE,
+                    });
+            }
+            Some(mem) => {
+                flags |= F_MEM;
+                plan.addr.push(mem.addr);
+                plan.mem_ord.push(plan.load_rec.len() as u32);
+                plan.load_rec.push(i as u32);
+                // Store ordinals grow with stream position, so "the
+                // youngest candidate" is simply the largest ordinal —
+                // both within the task and across earlier tasks.
+                let mut intra = NONE;
+                let mut inter = NONE;
+                let mut consider = |st: Option<&KeyState>| {
+                    if let Some(st) = st {
+                        if st.youngest_task == task {
+                            if intra == NONE || st.youngest_ord > intra {
+                                intra = st.youngest_ord;
+                            }
+                            if st.prev_ord != NONE && (inter == NONE || st.prev_ord > inter) {
+                                inter = st.prev_ord;
+                            }
+                        } else if inter == NONE || st.youngest_ord > inter {
+                            inter = st.youngest_ord;
                         }
                     }
-                    plan.load_intra.push(intra);
-                    plan.load_inter.push(inter);
+                };
+                if mem.size == 1 {
+                    consider(self.byte.get(&mem.addr));
+                    consider(self.word.get(&(mem.addr & !7)));
+                } else {
+                    consider(self.word.get(&(mem.addr & !7)));
+                    for b in 0..8 {
+                        consider(self.byte.get(&(mem.addr + b)));
+                    }
                 }
-                None => {
-                    plan.addr.push(0);
-                    plan.mem_ord.push(NONE);
-                }
+                plan.load_intra.push(intra);
+                plan.load_inter.push(inter);
             }
-            plan.flags.push(flags);
+            None => {
+                plan.addr.push(0);
+                plan.mem_ord.push(NONE);
+            }
         }
+        plan.flags.push(flags);
+    }
 
-        plan.task_start.push(n as u32);
+    /// Closes the last task and returns the plan.
+    pub fn finish(self) -> ReplayPlan {
+        let mut plan = self.plan;
+        plan.task_start.push(plan.pc.len() as u32);
         plan.task_store_start.push(plan.store_rec.len() as u32);
         plan.task_load_start.push(plan.load_rec.len() as u32);
         plan
+    }
+}
+
+impl ReplayPlan {
+    /// Builds the plan in one pass over the committed stream (see
+    /// [`PlanBuilder`]).
+    pub fn build(records: &[DynInst]) -> ReplayPlan {
+        let mut builder = PlanBuilder::with_capacity(records.len());
+        for d in records {
+            builder.push(d);
+        }
+        builder.finish()
     }
 
     /// Number of dynamic tasks in the plan.
@@ -279,31 +316,6 @@ impl ReplayPlan {
     /// Number of loads in task `k`.
     pub fn task_loads(&self, k: usize) -> u32 {
         self.task_load_start[k + 1] - self.task_load_start[k]
-    }
-
-    /// The first task at which simulators replaying this trace under
-    /// different speculation policies can diverge, given a `stages`-unit
-    /// window: the first task that issues a load while some task in its
-    /// window (`k - (stages - 1) .. k`) performed a store. Before this
-    /// task no load can have an in-window producer and no older store
-    /// address is outstanding, so every policy schedules identically.
-    ///
-    /// Returns [`ReplayPlan::tasks`] when no such task exists (the whole
-    /// replay is policy-independent).
-    pub fn fork_task(&self, stages: usize) -> usize {
-        if stages <= 1 {
-            return self.tasks();
-        }
-        for k in 0..self.tasks() {
-            if self.task_loads(k) == 0 {
-                continue;
-            }
-            let lo = k.saturating_sub(stages - 1);
-            if self.task_store_start[k] > self.task_store_start[lo] {
-                return k;
-            }
-        }
-        self.tasks()
     }
 
     /// Approximate resident size of the plan in bytes (for trace-cache
@@ -459,25 +471,9 @@ mod tests {
     }
 
     #[test]
-    fn fork_task_is_the_first_load_with_windowed_stores() {
-        let records = recurrence(6);
-        let plan = ReplayPlan::build(&records);
-        // Task 0 has the loop preamble (no stores before the first task's
-        // load); task 1's load sees task 0's... the first loop task stores,
-        // so the second loop task is the first that can diverge.
-        let f = plan.fork_task(4);
-        assert!(f >= 1, "fork task {f}");
-        assert!(plan.task_loads(f) > 0);
-        assert!(plan.task_store_start[f] > plan.task_store_start[f.saturating_sub(3)]);
-        // A 1-stage machine has no cross-task window: never forks.
-        assert_eq!(plan.fork_task(1), plan.tasks());
-    }
-
-    #[test]
-    fn empty_and_storeless_streams_never_fork() {
+    fn empty_and_storeless_streams_have_no_producers() {
         let plan = ReplayPlan::build(&[]);
         assert_eq!(plan.tasks(), 0);
-        assert_eq!(plan.fork_task(8), 0);
         let records = trace(|b| {
             b.alloc("x", 1);
             b.la(Reg::S0, "x");
@@ -488,7 +484,6 @@ mod tests {
             b.halt();
         });
         let plan = ReplayPlan::build(&records);
-        assert_eq!(plan.fork_task(8), plan.tasks());
         assert!(plan.load_inter.iter().all(|&x| x == NONE));
     }
 

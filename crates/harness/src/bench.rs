@@ -454,14 +454,16 @@ impl Harness {
         }
     }
 
-    /// In measurement mode, writes `BENCH_<suite>.json` and prints its
-    /// path; in smoke mode, does nothing.
+    /// In measurement mode, writes `BENCH_<suite>.json`, stamped with the
+    /// host's core count, and prints its path; in smoke mode, does
+    /// nothing.
     pub fn finish(self) {
         if matches!(self.mode, Mode::Smoke) {
             return;
         }
         let path = report_dir().join(format!("BENCH_{}.json", self.suite));
-        let text = self.report().to_json().pretty();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get() as u64);
+        let text = self.report().to_json().field("cores", cores).pretty();
         match std::fs::write(&path, text) {
             Ok(()) => eprintln!("wrote {}", path.display()),
             Err(e) => eprintln!("failed to write {}: {e}", path.display()),

@@ -43,6 +43,15 @@
 //! standard methodology for dependence-speculation studies, and it is
 //! what makes cross-policy comparisons apples-to-apples.
 //!
+//! # Engines
+//!
+//! [`run_planned`] replays a captured [`Trace`](mds_emu::Trace) over its
+//! pre-resolved [`ReplayPlan`](mds_emu::ReplayPlan); [`Multiscalar::run`]
+//! emulates a program and replays it the same way.
+//! [`reference`](mod@reference) keeps the original record-stream walk as
+//! the cycle-exact oracle that tests compare against, and [`audit()`]
+//! checks any result against the paper's definitions.
+//!
 //! # Examples
 //!
 //! ```
@@ -75,15 +84,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod audit;
 pub mod config;
-pub mod exec;
+pub mod reference;
 pub mod replay;
 pub mod result;
 pub mod sim;
 pub mod task;
 
+pub use audit::{audit, AuditError};
 pub use config::{FuLatencies, MsConfig};
-pub use replay::{forkable_twins, run_fused, run_planned};
+pub use replay::run_planned;
 pub use result::MsResult;
 pub use sim::Multiscalar;
 pub use task::{Task, TaskSplitter};

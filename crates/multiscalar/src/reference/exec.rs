@@ -1,31 +1,29 @@
-//! Per-task timing execution: one *attempt* schedules a task's
-//! instructions on a processing unit starting at a given cycle, against
-//! the current state of the older tasks in the window.
+//! Per-task timing execution for the reference walk: one *attempt*
+//! schedules a task's instructions on a processing unit starting at a
+//! given cycle, against the current state of the older tasks in the
+//! window.
 //!
 //! The simulator re-runs an attempt from scratch whenever a memory
 //! dependence violation is detected (squash & replay), so everything in
 //! here is a pure function of the task, its start cycle, the older-task
-//! records, and the (mutable, shared) memory system.
+//! records, and the (mutable, shared) memory system. Store→load overlaps
+//! are discovered through per-task hash maps, exactly as a hardware
+//! ARB-style search would find them; the planned engine
+//! ([`crate::replay`]) pre-resolves the same answers once per trace.
 //!
 //! Because squash & replay re-runs this code constantly, the attempt
 //! state lives in an [`ExecScratch`] owned by the simulator and reused
-//! across attempts and tasks: maps are cleared, not reallocated, and the
-//! per-cycle port ledgers are dense vectors indexed from the attempt's
-//! start cycle. The scratch is pure mechanism — reusing it is
-//! observationally identical to fresh allocation (enforced by the
-//! byte-identity CI gate on `repro all --json`).
+//! across attempts and tasks: maps are cleared, not reallocated. The
+//! scratch is pure mechanism — reusing it is observationally identical
+//! to fresh allocation.
 
-use crate::config::MsConfig;
+use crate::replay::{LoadEvent, Ports, Shared, Violation, REGS};
 use crate::task::Task;
-use mds_core::{DepEdge, Policy, SyncUnit};
+use mds_core::{DepEdge, Policy};
 use mds_emu::DynInst;
 use mds_harness::hash::{FxHashMap, FxHashSet, Pool};
 use mds_isa::{Addr, FuClass, Pc};
-use mds_mem::{BankedCache, Bus, Cache};
 use std::collections::VecDeque;
-
-/// Dense architectural register file size (see `RegRef::dense_index`).
-pub(crate) const REGS: usize = 64;
 
 /// A store that executed within a task, as visible to younger tasks.
 #[derive(Debug, Clone, Copy)]
@@ -62,32 +60,6 @@ pub(crate) struct TaskRecord {
     pub max_store_addr_ready: u64,
 }
 
-/// A detected cross-task memory dependence violation.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Violation {
-    pub edge: DepEdge,
-    pub producer_task: u64,
-    pub producer_task_pc: Pc,
-    /// Cycle at which the older store executed (violation detection time).
-    pub detect: u64,
-    /// Whether the violated load had a (wrong) synchronization prediction.
-    pub predicted: bool,
-}
-
-/// Per-load prediction/synchronization record used for training and the
-/// table 8 breakdown.
-#[derive(Debug, Clone)]
-pub(crate) struct LoadEvent {
-    /// `(edge, signal_found, caused_wait)` per predicted dependence.
-    pub edges: Vec<(DepEdge, bool, bool)>,
-    /// Whether any prediction matched this load.
-    pub predicted: bool,
-    /// For predicted loads: the load had to wait for a signal. For
-    /// unpredicted loads: a violation occurred (filled by the caller for
-    /// aborted attempts).
-    pub actual_dependence: bool,
-}
-
 /// The result of one execution attempt.
 #[derive(Debug)]
 pub(crate) struct AttemptOutcome {
@@ -100,89 +72,6 @@ pub(crate) struct AttemptOutcome {
     pub synchronized_loads: u64,
     /// Loads released by the deadlock-avoidance rule (false dependence).
     pub false_dep_releases: u64,
-}
-
-/// Mutable processor-wide state an attempt executes against.
-pub(crate) struct Shared<'a> {
-    pub config: &'a MsConfig,
-    pub dcache: &'a mut BankedCache,
-    pub bus: &'a mut Bus,
-    pub icache: &'a mut Cache,
-    pub unit: Option<&'a mut SyncUnit>,
-}
-
-/// A "K issues per cycle" resource (fully pipelined units: occupancy is
-/// one cycle). Claims may arrive in any order relative to simulated time —
-/// an out-of-order core issues whatever is ready — so this counts usage
-/// per cycle instead of keeping a monotonic busy-until clock.
-///
-/// The ledger is a dense vector indexed by `cycle - base`: every claim in
-/// an attempt happens at or after the attempt's start cycle, so the
-/// offset stays small. Slots are epoch-tagged rather than zeroed: `reset`
-/// bumps the epoch in O(1), and a slot whose tag is stale counts as
-/// empty. This keeps `claim` — called twice per simulated instruction in
-/// both replay engines — to a load, a compare, and a store in the common
-/// case, with no per-attempt clearing or one-element-at-a-time growth.
-#[derive(Debug, Clone, Copy, Default)]
-struct PortSlot {
-    epoch: u32,
-    used: u32,
-}
-
-#[derive(Debug, Default)]
-pub(crate) struct Ports {
-    width: u32,
-    base: u64,
-    epoch: u32,
-    slots: Vec<PortSlot>,
-}
-
-impl Ports {
-    pub(crate) fn reset(&mut self, width: u32, t0: u64) {
-        self.width = width.max(1);
-        self.base = t0;
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // Epoch wrapped (after 2^32 attempts): stale tags could alias
-            // the new epoch, so hard-clear once and restart from 1.
-            self.slots.fill(PortSlot::default());
-            self.epoch = 1;
-        }
-    }
-
-    /// Claims the earliest cycle at or after `ready` with a free slot.
-    pub(crate) fn claim(&mut self, ready: u64, _occupy: u64) -> u64 {
-        // Claims before the base cannot happen in an attempt (readiness is
-        // bounded below by the start cycle), but stay correct if one does.
-        if ready < self.base {
-            let shift = (self.base - ready) as usize;
-            // Tag 0 is never the live epoch (reset skips it), so these
-            // slots read as empty.
-            self.slots
-                .splice(0..0, std::iter::repeat_n(PortSlot::default(), shift));
-            self.base = ready;
-        }
-        let mut idx = (ready - self.base) as usize;
-        loop {
-            if idx >= self.slots.len() {
-                // Grow in chunks so the resize amortizes away.
-                self.slots.resize(idx + 64, PortSlot::default());
-            }
-            let slot = &mut self.slots[idx];
-            if slot.epoch != self.epoch {
-                *slot = PortSlot {
-                    epoch: self.epoch,
-                    used: 1,
-                };
-                return self.base + idx as u64;
-            }
-            if slot.used < self.width {
-                slot.used += 1;
-                return self.base + idx as u64;
-            }
-            idx += 1;
-        }
-    }
 }
 
 /// Reusable attempt-local state: port ledgers, the retire queue, pooled
@@ -718,50 +607,6 @@ fn schedule_mem(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ports(width: u32, t0: u64) -> Ports {
-        let mut p = Ports::default();
-        p.reset(width, t0);
-        p
-    }
-
-    #[test]
-    fn ports_allow_width_per_cycle() {
-        let mut p = ports(2, 0);
-        assert_eq!(p.claim(10, 1), 10);
-        assert_eq!(p.claim(10, 1), 10);
-        assert_eq!(p.claim(10, 1), 11); // third claim spills to the next cycle
-        assert_eq!(p.claim(11, 1), 11); // cycle 11 has one free slot left
-        assert_eq!(p.claim(11, 1), 12); // now it is full
-    }
-
-    #[test]
-    fn ports_are_order_insensitive() {
-        // A late-ready claim must not block an earlier-ready one issued
-        // after it — the OOO property the busy-until model got wrong.
-        let mut p = ports(1, 0);
-        assert_eq!(p.claim(100, 1), 100);
-        assert_eq!(p.claim(5, 1), 5);
-        assert_eq!(p.claim(5, 1), 6);
-    }
-
-    #[test]
-    fn ports_tolerate_claims_before_the_base() {
-        // Cannot happen in an attempt, but the ledger must stay correct.
-        let mut p = ports(1, 50);
-        assert_eq!(p.claim(50, 1), 50);
-        assert_eq!(p.claim(10, 1), 10);
-        assert_eq!(p.claim(10, 1), 11);
-        assert_eq!(p.claim(50, 1), 51); // cycle 50 already claimed above
-    }
-
-    #[test]
-    fn ports_reset_clears_the_ledger() {
-        let mut p = ports(1, 0);
-        assert_eq!(p.claim(3, 1), 3);
-        p.reset(1, 3);
-        assert_eq!(p.claim(3, 1), 3); // claimable again after reset
-    }
 
     fn record(seq: u64, stage: usize) -> TaskRecord {
         TaskRecord {

@@ -1,59 +1,24 @@
 //! The planned replay engine: branch-light Multiscalar replay over a
-//! [`ReplayPlan`], with cross-policy prefix sharing ("fork replay").
-//!
-//! # Why a second engine
+//! [`ReplayPlan`]. It is the only engine the library, the runner and the
+//! binaries run.
 //!
 //! The paper's figures replay one committed trace under six speculation
-//! policies per grid cell. The legacy engine ([`crate::Multiscalar`])
-//! re-walks the raw [`DynInst`](mds_emu::DynInst) stream per policy:
-//! re-decoding operands, re-splitting tasks (cloning every record), and
-//! re-discovering store→load overlaps through per-task hash maps — all
-//! work that is a pure function of the trace, not of the policy or the
-//! timing. This engine replays the [`ReplayPlan`] instead: operands,
-//! task ranges, functional-unit classes, and memory dependences are
-//! pre-resolved into dense arrays, so an attempt is a sequential scan
-//! with array indexing where the legacy engine chases hash maps.
+//! policies per grid cell. Operands, task boundaries, functional-unit
+//! classes and store→load overlaps are pure functions of the trace, not
+//! of the policy or the timing, so the [`ReplayPlan`] resolves them once
+//! into dense arrays and an attempt here is a sequential scan with array
+//! indexing. Each policy replays the whole plan on its own: no state is
+//! shared between policies.
 //!
-//! # Fork semantics
-//!
-//! All six policies agree on every scheduling decision until the first
-//! load that *could* have an in-window producer. Concretely, before the
-//! task index [`ReplayPlan::fork_task`] returns:
-//!
-//! - no load overlaps a store in its task window, so WAIT/PSYNC/ALWAYS
-//!   behave identically and no violation (hence no squash, no MDPT
-//!   training, no DDC observation) can occur;
-//! - every window task is store-free from the perspective of any task
-//!   that issues a load, so NEVER's "wait for all older store addresses"
-//!   bound is 0 and changes nothing;
-//! - SYNC/ESYNC consult an MDPT that has never been trained (training
-//!   requires a violation), and predicting from an empty MDPT is
-//!   side-effect-free, so they degrade to ALWAYS exactly.
-//!
-//! [`run_fused`] exploits this: configurations that are
-//! [`forkable_twins`] (identical hardware, differing only in policy /
-//! predictor configuration) share one simulation of the common prefix;
-//! at the fork task each member receives a clone of the lightweight
-//! simulator state — caches, bus, window records, sequencer state,
-//! in-order commit clocks — plus a fresh (still-empty) prediction unit
-//! and DDCs, and continues independently. The only per-policy state that
-//! accumulates before the fork is the table 8 prediction breakdown
-//! (predictor policies record one `(no prediction, no dependence)` entry
-//! per load), which is reconstructed arithmetically at the fork.
-//!
-//! A fork is never *invalidated*: the fork point is chosen so that the
-//! prefix is provably policy-independent, rather than optimistically and
-//! rolled back. Traces whose first window-store/load interaction happens
-//! immediately (common in store-heavy loops) simply fork at task 0 or 1
-//! and share little; the planned engine's flat-array replay still makes
-//! the fused run cheaper than six scratch walks.
-//!
-//! Equivalence with the legacy engine is enforced three ways: unit tests
-//! here, a `properties!` fuzz test over random traces (all policies),
-//! and the CI identity gate's `MDS_REPLAY=scratch` / `fork` comparison.
+//! Cycle exactness is checked against [`reference`](mod@crate::reference),
+//! the legacy record-stream walk kept as the oracle: unit tests here, a
+//! random-trace property test, and a test over every Multiscalar cell of
+//! the pinned experiments require byte-identical results.
+//! [`audit`](crate::audit()) checks each result against the paper's
+//! definitions as well, so the two engines cannot agree on a shared
+//! mistake unnoticed.
 
 use crate::config::MsConfig;
-use crate::exec::{LoadEvent, Ports, Shared, Violation, REGS};
 use crate::result::MsResult;
 use mds_core::{Ddc, DepEdge, Policy, SyncUnit, SyncUnitConfig, TagScheme};
 use mds_emu::plan::{
@@ -66,14 +31,126 @@ use mds_mem::{BankedCache, Bus, Cache};
 use mds_predict::{LruTable, PathHistory, PathPredictor};
 use std::collections::VecDeque;
 
+/// Dense architectural register file size (see `RegRef::dense_index`).
+pub(crate) const REGS: usize = 64;
+
+/// A detected cross-task memory dependence violation.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Violation {
+    pub edge: DepEdge,
+    pub producer_task: u64,
+    pub producer_task_pc: Pc,
+    /// Cycle at which the older store executed (violation detection time).
+    pub detect: u64,
+    /// Whether the violated load had a (wrong) synchronization prediction.
+    pub predicted: bool,
+}
+
+/// Per-load prediction/synchronization record used for training and the
+/// table 8 breakdown.
+#[derive(Debug, Clone)]
+pub(crate) struct LoadEvent {
+    /// `(edge, signal_found, caused_wait)` per predicted dependence.
+    pub edges: Vec<(DepEdge, bool, bool)>,
+    /// Whether any prediction matched this load.
+    pub predicted: bool,
+    /// For predicted loads: the load had to wait for a signal. For
+    /// unpredicted loads: a violation occurred (filled by the caller for
+    /// aborted attempts).
+    pub actual_dependence: bool,
+}
+
+/// Mutable processor-wide state an attempt executes against.
+pub(crate) struct Shared<'a> {
+    pub config: &'a MsConfig,
+    pub dcache: &'a mut BankedCache,
+    pub bus: &'a mut Bus,
+    pub icache: &'a mut Cache,
+    pub unit: Option<&'a mut SyncUnit>,
+}
+
+/// A "K issues per cycle" resource (fully pipelined units: occupancy is
+/// one cycle). Claims may arrive in any order relative to simulated time —
+/// an out-of-order core issues whatever is ready — so this counts usage
+/// per cycle instead of keeping a monotonic busy-until clock.
+///
+/// The ledger is a dense vector indexed by `cycle - base`: every claim in
+/// an attempt happens at or after the attempt's start cycle, so the
+/// offset stays small. Slots are epoch-tagged rather than zeroed: `reset`
+/// bumps the epoch in O(1), and a slot whose tag is stale counts as
+/// empty. This keeps `claim` — called twice per simulated instruction in
+/// both replay engines — to a load, a compare, and a store in the common
+/// case, with no per-attempt clearing or one-element-at-a-time growth.
+#[derive(Debug, Clone, Copy, Default)]
+struct PortSlot {
+    epoch: u32,
+    used: u32,
+}
+
+#[derive(Debug, Default)]
+pub(crate) struct Ports {
+    width: u32,
+    base: u64,
+    epoch: u32,
+    slots: Vec<PortSlot>,
+}
+
+impl Ports {
+    pub(crate) fn reset(&mut self, width: u32, t0: u64) {
+        self.width = width.max(1);
+        self.base = t0;
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Epoch wrapped (after 2^32 attempts): stale tags could alias
+            // the new epoch, so hard-clear once and restart from 1.
+            self.slots.fill(PortSlot::default());
+            self.epoch = 1;
+        }
+    }
+
+    /// Claims the earliest cycle at or after `ready` with a free slot.
+    pub(crate) fn claim(&mut self, ready: u64, _occupy: u64) -> u64 {
+        // Claims before the base cannot happen in an attempt (readiness is
+        // bounded below by the start cycle), but stay correct if one does.
+        if ready < self.base {
+            let shift = (self.base - ready) as usize;
+            // Tag 0 is never the live epoch (reset skips it), so these
+            // slots read as empty.
+            self.slots
+                .splice(0..0, std::iter::repeat_n(PortSlot::default(), shift));
+            self.base = ready;
+        }
+        let mut idx = (ready - self.base) as usize;
+        loop {
+            if idx >= self.slots.len() {
+                // Grow in chunks so the resize amortizes away.
+                self.slots.resize(idx + 64, PortSlot::default());
+            }
+            let slot = &mut self.slots[idx];
+            if slot.epoch != self.epoch {
+                *slot = PortSlot {
+                    epoch: self.epoch,
+                    used: 1,
+                };
+                return self.base + idx as u64;
+            }
+            if slot.used < self.width {
+                slot.used += 1;
+                return self.base + idx as u64;
+            }
+            idx += 1;
+        }
+    }
+}
+
 /// The finalized timing state of a window task, planned-engine edition.
 ///
-/// Everything the legacy `TaskRecord` kept in hash maps lives in the
-/// [`ReplayPlan`] instead; the record only carries what depends on
-/// timing: final register write times, per-store completion times (in
+/// Everything the reference walk's `TaskRecord` keeps in hash maps lives
+/// in the [`ReplayPlan`] instead; the record only carries what depends
+/// on timing: final register write times, per-store completion times (in
 /// task store order), and the store address-ready bound. Task identity,
 /// stage, and start PC are recovered from the record's window position.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct PRecord {
     /// Final write time per dense register index, or [`NO_TIME`].
     last_write: [u64; REGS],
@@ -120,7 +197,7 @@ fn operand_avail(
     }
 }
 
-/// Reusable attempt-local state (the planned engine's `ExecScratch`).
+/// Reusable attempt-local state.
 #[derive(Debug)]
 struct PScratch {
     issue: Ports,
@@ -243,7 +320,7 @@ impl PScratch {
     }
 }
 
-/// The result of one planned execution attempt (mirrors `AttemptOutcome`).
+/// The result of one planned execution attempt.
 /// Register write times stay behind in [`PScratch::last_write`].
 struct PAttempt {
     max_completion: u64,
@@ -279,8 +356,8 @@ fn resolve_cross(
 }
 
 /// One timing attempt of task `k`, scheduled over the plan's arrays.
-/// Replicates `exec::execute_attempt` decision-for-decision; see that
-/// function for the architectural commentary.
+/// Takes the same decisions as the reference walk's attempt
+/// (`reference::exec`), which carries the architectural commentary.
 #[allow(clippy::too_many_arguments)]
 fn planned_attempt(
     plan: &ReplayPlan,
@@ -658,8 +735,8 @@ fn planned_attempt(
     }
 }
 
-/// The planned engine's simulator state; mirrors the legacy `SimState`,
-/// plus a pre-expanded opcode→latency table.
+/// The planned engine's simulator state: sequencer, memory system,
+/// prediction unit and window, plus a pre-expanded opcode→latency table.
 struct PSim {
     config: MsConfig,
     lat: Vec<u64>,
@@ -681,23 +758,20 @@ struct PSim {
     result: MsResult,
 }
 
-fn sync_unit_for(config: &MsConfig) -> Option<SyncUnit> {
-    config.policy.uses_predictor().then(|| {
-        SyncUnit::new(SyncUnitConfig {
-            stages: config.stages,
-            mdpt: config.mdpt,
-            esync: config.policy == Policy::Esync,
-            tagging: config.tagging,
-        })
-    })
-}
-
 impl PSim {
     fn new(config: MsConfig) -> PSim {
         let mut lat = vec![0u64; 256];
         for &op in Opcode::ALL {
             lat[op as usize] = config.latencies.of(op);
         }
+        let unit = config.policy.uses_predictor().then(|| {
+            SyncUnit::new(SyncUnitConfig {
+                stages: config.stages,
+                mdpt: config.mdpt,
+                esync: config.policy == Policy::Esync,
+                tagging: config.tagging,
+            })
+        });
         PSim {
             lat,
             dcache: BankedCache::new(config.dcache),
@@ -705,7 +779,7 @@ impl PSim {
             icaches: (0..config.stages)
                 .map(|_| Cache::new(config.icache))
                 .collect(),
-            unit: sync_unit_for(&config),
+            unit,
             predictor: PathPredictor::new(4096, config.path_depth),
             history: PathHistory::new(config.path_depth),
             descriptor_cache: LruTable::new(config.descriptor_cache),
@@ -719,41 +793,6 @@ impl PSim {
             ddcs: config.ddc_sizes.iter().map(|&s| (s, Ddc::new(s))).collect(),
             result: MsResult::default(),
             config,
-        }
-    }
-
-    /// Clones the policy-independent prefix state into a continuation for
-    /// `config`. `loads_seen` is the number of loads committed in the
-    /// prefix: predictor policies record one unpredicted/no-dependence
-    /// breakdown entry per load, which the (predictor-free) prefix did not
-    /// accumulate.
-    fn fork(&self, config: &MsConfig, loads_seen: u64) -> PSim {
-        let unit = sync_unit_for(config);
-        let mut result = self.result.clone();
-        if unit.is_some() {
-            for _ in 0..loads_seen {
-                result.breakdown.record(false, false);
-            }
-        }
-        PSim {
-            lat: self.lat.clone(),
-            dcache: self.dcache.clone(),
-            bus: self.bus.clone(),
-            icaches: self.icaches.clone(),
-            unit,
-            predictor: self.predictor.clone(),
-            history: self.history.clone(),
-            descriptor_cache: self.descriptor_cache.clone(),
-            window: self.window.clone(),
-            scratch: PScratch::default(),
-            stage_free: self.stage_free.clone(),
-            prev_assign: self.prev_assign,
-            prev_commit: self.prev_commit,
-            prev_task_pc: self.prev_task_pc,
-            prev_last_branch: self.prev_last_branch,
-            ddcs: config.ddc_sizes.iter().map(|&s| (s, Ddc::new(s))).collect(),
-            result,
-            config: config.clone(),
         }
     }
 
@@ -892,131 +931,28 @@ impl PSim {
 
 /// Replays `trace` under `config` on the planned engine.
 ///
-/// Produces a result identical to
-/// [`Multiscalar::run_trace`](crate::Multiscalar::run_trace) over the
-/// same records (enforced by tests and the CI equivalence gate), at a
-/// fraction of the cost: the trace's [`ReplayPlan`] is built once and
-/// cached, and the replay itself is a flat scan over its arrays.
+/// The trace's [`ReplayPlan`] is built on first use and cached on the
+/// trace, so every configuration replaying the same trace shares it.
+/// The result is byte-identical to [`reference::run`](crate::reference::run)
+/// over the same records.
 pub fn run_planned(trace: &Trace, config: &MsConfig) -> MsResult {
-    let plan = trace.replay_plan().clone();
+    replay(trace.replay_plan(), config)
+}
+
+/// Replays `plan` under `config`: the engine behind [`run_planned`] and
+/// the [`Multiscalar`](crate::Multiscalar) entry points.
+pub(crate) fn replay(plan: &ReplayPlan, config: &MsConfig) -> MsResult {
     let mut sim = PSim::new(config.clone());
     for k in 0..plan.tasks() {
-        sim.on_task(&plan, k);
+        sim.on_task(plan, k);
     }
     sim.finish()
-}
-
-/// `true` when two configurations model identical hardware up to the
-/// speculation policy — the precondition for sharing a fork-replay
-/// prefix. Policy, predictor configuration (MDPT, tagging), and DDC
-/// measurement sizes may differ; everything that affects scheduling
-/// before the first possible policy divergence must match.
-pub fn forkable_twins(a: &MsConfig, b: &MsConfig) -> bool {
-    // Exhaustive destructure: adding a field to `MsConfig` must force a
-    // decision about whether it participates in twin-ness.
-    let MsConfig {
-        stages,
-        policy: _,
-        issue_width,
-        fetch_width,
-        window,
-        simple_int_units,
-        complex_int_units,
-        fp_units,
-        branch_units,
-        mem_units,
-        latencies,
-        icache,
-        dcache,
-        ring_latency,
-        squash_penalty,
-        mispredict_penalty,
-        descriptor_cache,
-        descriptor_miss_penalty,
-        path_depth,
-        mdpt: _,
-        tagging: _,
-        signal_latency,
-        ddc_sizes: _,
-    } = a;
-    *stages == b.stages
-        && *issue_width == b.issue_width
-        && *fetch_width == b.fetch_width
-        && *window == b.window
-        && *simple_int_units == b.simple_int_units
-        && *complex_int_units == b.complex_int_units
-        && *fp_units == b.fp_units
-        && *branch_units == b.branch_units
-        && *mem_units == b.mem_units
-        && *latencies == b.latencies
-        && *icache == b.icache
-        && *dcache == b.dcache
-        && *ring_latency == b.ring_latency
-        && *squash_penalty == b.squash_penalty
-        && *mispredict_penalty == b.mispredict_penalty
-        && *descriptor_cache == b.descriptor_cache
-        && *descriptor_miss_penalty == b.descriptor_miss_penalty
-        && *path_depth == b.path_depth
-        && *signal_latency == b.signal_latency
-}
-
-/// Replays `trace` under every configuration, sharing the
-/// policy-independent prefix across [`forkable_twins`]; results are
-/// returned in input order and are identical to running [`run_planned`]
-/// per configuration (and to the legacy engine).
-pub fn run_fused(trace: &Trace, configs: &[MsConfig]) -> Vec<MsResult> {
-    let plan = trace.replay_plan().clone();
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for (i, c) in configs.iter().enumerate() {
-        match groups
-            .iter_mut()
-            .find(|g| forkable_twins(&configs[g[0]], c))
-        {
-            Some(g) => g.push(i),
-            None => groups.push(vec![i]),
-        }
-    }
-    let mut results: Vec<Option<MsResult>> = configs.iter().map(|_| None).collect();
-    for group in groups {
-        if group.len() == 1 {
-            let i = group[0];
-            let mut sim = PSim::new(configs[i].clone());
-            for k in 0..plan.tasks() {
-                sim.on_task(&plan, k);
-            }
-            results[i] = Some(sim.finish());
-            continue;
-        }
-        let fork_at = plan.fork_task(configs[group[0]].stages);
-        // The prefix is policy-independent by construction; run it as
-        // blind speculation with no predictor and no DDCs (none of which
-        // can act before the fork).
-        let mut prefix_config = configs[group[0]].clone();
-        prefix_config.policy = Policy::Always;
-        prefix_config.ddc_sizes = Vec::new();
-        let mut prefix = PSim::new(prefix_config);
-        for k in 0..fork_at {
-            prefix.on_task(&plan, k);
-        }
-        let loads_seen = plan.task_load_start[fork_at] as u64;
-        for &i in &group {
-            let mut sim = prefix.fork(&configs[i], loads_seen);
-            for k in fork_at..plan.tasks() {
-                sim.on_task(&plan, k);
-            }
-            results[i] = Some(sim.finish());
-        }
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every config produced a result"))
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::Multiscalar;
+    use crate::reference;
     use mds_harness::json::ToJson;
     use mds_isa::{Program, ProgramBuilder, Reg};
 
@@ -1024,8 +960,48 @@ mod tests {
         Trace::capture(p).unwrap()
     }
 
-    fn legacy(trace: &Trace, config: &MsConfig) -> MsResult {
-        Multiscalar::new(config.clone()).run_trace(trace.records().iter().copied())
+    fn ports(width: u32, t0: u64) -> Ports {
+        let mut p = Ports::default();
+        p.reset(width, t0);
+        p
+    }
+
+    #[test]
+    fn ports_allow_width_per_cycle() {
+        let mut p = ports(2, 0);
+        assert_eq!(p.claim(10, 1), 10);
+        assert_eq!(p.claim(10, 1), 10);
+        assert_eq!(p.claim(10, 1), 11); // third claim spills to the next cycle
+        assert_eq!(p.claim(11, 1), 11); // cycle 11 has one free slot left
+        assert_eq!(p.claim(11, 1), 12); // now it is full
+    }
+
+    #[test]
+    fn ports_are_order_insensitive() {
+        // A late-ready claim must not block an earlier-ready one issued
+        // after it — the OOO property the busy-until model got wrong.
+        let mut p = ports(1, 0);
+        assert_eq!(p.claim(100, 1), 100);
+        assert_eq!(p.claim(5, 1), 5);
+        assert_eq!(p.claim(5, 1), 6);
+    }
+
+    #[test]
+    fn ports_tolerate_claims_before_the_base() {
+        // Cannot happen in an attempt, but the ledger must stay correct.
+        let mut p = ports(1, 50);
+        assert_eq!(p.claim(50, 1), 50);
+        assert_eq!(p.claim(10, 1), 10);
+        assert_eq!(p.claim(10, 1), 11);
+        assert_eq!(p.claim(50, 1), 51); // cycle 50 already claimed above
+    }
+
+    #[test]
+    fn ports_reset_clears_the_ledger() {
+        let mut p = ports(1, 0);
+        assert_eq!(p.claim(3, 1), 3);
+        p.reset(1, 3);
+        assert_eq!(p.claim(3, 1), 3); // claimable again after reset
     }
 
     fn assert_same(a: &MsResult, b: &MsResult, label: &str) {
@@ -1131,7 +1107,7 @@ mod tests {
     }
 
     #[test]
-    fn planned_engine_matches_legacy_for_every_policy_and_stage_count() {
+    fn planned_engine_matches_reference_for_every_policy_and_stage_count() {
         let programs = [
             recurrence_tasks(60),
             independent_tasks(60),
@@ -1143,7 +1119,7 @@ mod tests {
             for stages in [1, 4, 8] {
                 for policy in Policy::ALL {
                     let config = MsConfig::paper(stages, policy);
-                    let a = legacy(&trace, &config);
+                    let a = reference::run(&trace, &config);
                     let b = run_planned(&trace, &config);
                     assert_same(&a, &b, &format!("program {pi}, {stages} stages, {policy}"));
                 }
@@ -1152,77 +1128,21 @@ mod tests {
     }
 
     #[test]
-    fn planned_engine_matches_legacy_with_ddcs_and_address_tagging() {
+    fn planned_engine_matches_reference_with_ddcs_and_address_tagging() {
         let trace = capture(&recurrence_tasks(80));
         let mut config = MsConfig::paper(4, Policy::Always).with_ddc_sizes(&[16, 64]);
         assert_same(
-            &legacy(&trace, &config),
+            &reference::run(&trace, &config),
             &run_planned(&trace, &config),
             "ddc",
         );
         config = MsConfig::paper(8, Policy::Sync);
         config.tagging = TagScheme::DataAddress;
         assert_same(
-            &legacy(&trace, &config),
+            &reference::run(&trace, &config),
             &run_planned(&trace, &config),
             "address tagging",
         );
-    }
-
-    #[test]
-    fn fused_replay_matches_per_policy_scratch_runs() {
-        for p in [
-            recurrence_tasks(80),
-            independent_tasks(80),
-            byte_store_tasks(50),
-        ] {
-            let trace = capture(&p);
-            for stages in [4, 8] {
-                let configs: Vec<MsConfig> = Policy::ALL
-                    .into_iter()
-                    .map(|policy| MsConfig::paper(stages, policy))
-                    .collect();
-                let fused = run_fused(&trace, &configs);
-                for (config, result) in configs.iter().zip(&fused) {
-                    let expect = legacy(&trace, config);
-                    assert_same(
-                        &expect,
-                        result,
-                        &format!("{stages} stages, {}", config.policy),
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fused_replay_handles_non_twin_groups_and_heterogeneous_ddcs() {
-        let trace = capture(&recurrence_tasks(60));
-        let mut tagged = MsConfig::paper(4, Policy::Esync);
-        tagged.tagging = TagScheme::DataAddress;
-        let configs = vec![
-            MsConfig::paper(4, Policy::Always).with_ddc_sizes(&[16]),
-            MsConfig::paper(8, Policy::Always), // different stages: own group
-            MsConfig::paper(4, Policy::Sync),
-            tagged,
-        ];
-        let fused = run_fused(&trace, &configs);
-        assert_eq!(fused.len(), configs.len());
-        for (i, config) in configs.iter().enumerate() {
-            assert_same(&legacy(&trace, config), &fused[i], &format!("config {i}"));
-        }
-    }
-
-    #[test]
-    fn twin_detection_ignores_policy_but_not_hardware() {
-        let a = MsConfig::paper(4, Policy::Always);
-        let b = MsConfig::paper(4, Policy::Esync).with_ddc_sizes(&[64]);
-        assert!(forkable_twins(&a, &b));
-        let c = MsConfig::paper(8, Policy::Always);
-        assert!(!forkable_twins(&a, &c));
-        let mut d = MsConfig::paper(4, Policy::Always);
-        d.squash_penalty += 1;
-        assert!(!forkable_twins(&a, &d));
     }
 
     #[test]
@@ -1232,7 +1152,5 @@ mod tests {
         let r = run_planned(&trace, &config);
         assert_eq!(r.cycles, 0);
         assert_eq!(r.tasks, 0);
-        let fused = run_fused(&trace, &[config.clone(), MsConfig::paper(4, Policy::Never)]);
-        assert_eq!(fused.len(), 2);
     }
 }

@@ -1,21 +1,20 @@
-//! Property test: the fork-replay engine is observationally identical to
-//! scratch replay.
+//! Property test: the planned engine is observationally identical to the
+//! reference walk, and both obey the paper's definitions.
 //!
 //! For any randomized committed instruction stream — random task
 //! boundaries, mixed word/byte loads and stores over a small colliding
 //! address pool, ALU/FP/branch filler, recycled PCs so the MDPT actually
-//! trains — running all six speculation policies through
-//! [`mds_multiscalar::run_fused`] (one shared-prefix walk, per-policy
-//! forks) must produce results byte-identical to six independent
-//! [`Multiscalar::run_trace`] replays: cycles, violation counts,
-//! synchronization counts, and the full serialized result document.
+//! trains — every speculation policy at 1, 4 and 8 stages must produce a
+//! [`run_planned`] result byte-identical to [`reference::run`]: cycles,
+//! violation counts, synchronization counts, and the full serialized
+//! result document. Each result must also pass [`audit`].
 
 use mds_core::Policy;
 use mds_emu::{BranchOutcome, DynInst, MemAccess, Trace, TraceSummary};
 use mds_harness::json::ToJson;
 use mds_harness::prelude::*;
 use mds_isa::{Instruction, Opcode, Pc, Reg};
-use mds_multiscalar::{run_fused, MsConfig, Multiscalar};
+use mds_multiscalar::{audit, reference, run_planned, MsConfig};
 
 /// Synthesizes one committed record from a `(kind, sel)` pair.
 ///
@@ -103,10 +102,10 @@ fn record(i: usize, kind: usize, sel: u16) -> DynInst {
 properties! {
     #![config(PropConfig { cases: 12, ..PropConfig::default() })]
 
-    /// Fused cross-policy fork replay equals independent scratch replays
-    /// for every policy, at 4 and 8 stages, over randomized traces.
+    /// The planned engine equals the reference walk for every policy at
+    /// 1, 4 and 8 stages, and every result passes the auditor.
     #[test]
-    fn fork_replay_equals_scratch_replay(
+    fn planned_replay_equals_reference_and_passes_the_audit(
         cells in vec_of((0usize..9, any::<u16>()), 20..250),
     ) {
         let records: Vec<DynInst> = cells
@@ -116,26 +115,20 @@ properties! {
             .collect();
         let trace = Trace::from_parts(records, TraceSummary::default());
 
-        for stages in [4usize, 8] {
-            let configs: Vec<MsConfig> = Policy::ALL
-                .iter()
-                .map(|&policy| MsConfig::paper(stages, policy))
-                .collect();
-            let fused = run_fused(&trace, &configs);
-            prop_assert_eq!(fused.len(), configs.len());
-            for (config, forked) in configs.iter().zip(&fused) {
-                let scratch = Multiscalar::new(config.clone())
-                    .run_trace(trace.records().iter().copied());
-                prop_assert_eq!(scratch.cycles, forked.cycles);
-                prop_assert_eq!(scratch.misspeculations, forked.misspeculations);
+        for stages in [1usize, 4, 8] {
+            for policy in Policy::ALL {
+                let config = MsConfig::paper(stages, policy).with_ddc_sizes(&[4, 16]);
+                let planned = run_planned(&trace, &config);
+                let oracle = reference::run(&trace, &config);
+                prop_assert_eq!(oracle.cycles, planned.cycles);
+                prop_assert_eq!(oracle.misspeculations, planned.misspeculations);
+                prop_assert_eq!(oracle.synchronized_loads, planned.synchronized_loads);
                 prop_assert_eq!(
-                    scratch.synchronized_loads,
-                    forked.synchronized_loads
+                    oracle.to_json().to_string(),
+                    planned.to_json().to_string()
                 );
-                prop_assert_eq!(
-                    scratch.to_json().to_string(),
-                    forked.to_json().to_string()
-                );
+                let verdict = audit(trace.replay_plan(), &config, &planned);
+                prop_assert!(verdict.is_ok(), "{stages} stages, {policy}: {verdict:?}");
             }
         }
     }

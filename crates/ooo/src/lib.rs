@@ -57,5 +57,5 @@
 pub mod timing;
 pub mod window;
 
-pub use timing::{run_fused, OooConfig, OooResult, OooSim};
+pub use timing::{OooConfig, OooResult, OooSim};
 pub use window::{WindowAnalyzer, WindowConfig, WindowReport, WindowStats};

@@ -435,23 +435,6 @@ impl OooSim {
     }
 }
 
-/// Replays one committed stream under several configurations in a single
-/// trace walk, returning results in input order.
-///
-/// Each simulator is independent; the fusion saves the repeated record
-/// iteration (and its cache traffic) when a grid cell evaluates many
-/// policies over the same workload. Results are identical to running
-/// each configuration through [`OooSim::observe`] separately.
-pub fn run_fused(records: &[DynInst], configs: &[OooConfig]) -> Vec<OooResult> {
-    let mut sims: Vec<OooSim> = configs.iter().map(|&c| OooSim::new(c)).collect();
-    for d in records {
-        for sim in &mut sims {
-            sim.observe(d);
-        }
-    }
-    sims.into_iter().map(OooSim::finish).collect()
-}
-
 // Forward `reads` from the record for operand collection.
 trait Reads {
     fn reads(&self) -> [Option<mds_isa::RegRef>; 2];
@@ -599,32 +582,5 @@ mod tests {
         let r = run(&p, Policy::Always);
         assert!(r.ipc() > 0.0);
         assert!(r.ipc() <= 4.0 + 1e-9);
-    }
-
-    #[test]
-    fn fused_walk_matches_independent_runs() {
-        let p = recurrence_loop(150);
-        let records = Emulator::new(&p).run().unwrap();
-        let configs: Vec<OooConfig> = Policy::ALL
-            .into_iter()
-            .map(|policy| OooConfig {
-                policy,
-                ..Default::default()
-            })
-            .collect();
-        let fused = run_fused(&records, &configs);
-        for (config, got) in configs.iter().zip(&fused) {
-            let mut sim = OooSim::new(*config);
-            for d in &records {
-                sim.observe(d);
-            }
-            let expect = sim.finish();
-            assert_eq!(got.cycles, expect.cycles, "{}", config.policy);
-            assert_eq!(got.instructions, expect.instructions);
-            assert_eq!(got.loads, expect.loads);
-            assert_eq!(got.misspeculations, expect.misspeculations);
-            assert_eq!(got.synchronized_loads, expect.synchronized_loads);
-            assert_eq!(got.breakdown, expect.breakdown);
-        }
     }
 }

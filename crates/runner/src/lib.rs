@@ -59,4 +59,4 @@ pub use cache::TraceCache;
 pub use job::{Grid, Job, JobKind, JobOutput};
 pub use pool::{job_count, parse_jobs, run_indexed, try_job_count, try_run_indexed};
 pub use pool::{JobPanic, PoolReport};
-pub use runner::{JobFailure, JobResult, ReplayEngine, RunError, RunOutcome, RunStats, Runner};
+pub use runner::{JobFailure, JobResult, RunError, RunOutcome, RunStats, Runner};

@@ -6,48 +6,10 @@ use crate::job::{Grid, Job, JobKind, JobOutput};
 use crate::pool::{self, PoolReport};
 use mds_emu::Trace;
 use mds_harness::json::{Json, ToJson};
-use mds_multiscalar::{MsConfig, Multiscalar};
-use mds_ooo::{OooConfig, OooSim, WindowAnalyzer};
+use mds_ooo::{OooSim, WindowAnalyzer};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Which engine replays Multiscalar (and fused superscalar) grid cells.
-///
-/// Both engines produce byte-identical results — enforced by unit and
-/// property tests in `mds-multiscalar` and by the CI engine-equivalence
-/// gate — so this only selects *how* the work is done, never *what* comes
-/// out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplayEngine {
-    /// The legacy path: every cell re-walks the raw record stream from
-    /// instruction zero, one policy at a time.
-    Scratch,
-    /// The planned path: cells replay the trace's cached
-    /// structure-of-arrays [`ReplayPlan`](mds_emu::ReplayPlan), and cells
-    /// that differ only in speculation policy over the same trace fuse
-    /// into one job sharing the policy-independent replay prefix
-    /// (see [`mds_multiscalar::run_fused`]).
-    Fork,
-}
-
-impl ReplayEngine {
-    /// Reads the `MDS_REPLAY` environment variable: `"scratch"` or
-    /// `"fork"`, case-insensitive. Unset or empty selects the default
-    /// fork engine; an unrecognized value warns on stderr and falls back
-    /// to the default.
-    pub fn from_env() -> ReplayEngine {
-        match std::env::var("MDS_REPLAY") {
-            Ok(v) if v.eq_ignore_ascii_case("scratch") => ReplayEngine::Scratch,
-            Ok(v) if v.eq_ignore_ascii_case("fork") || v.is_empty() => ReplayEngine::Fork,
-            Ok(v) => {
-                eprintln!("runner: unknown MDS_REPLAY value {v:?}; using the fork engine");
-                ReplayEngine::Fork
-            }
-            Err(_) => ReplayEngine::Fork,
-        }
-    }
-}
 
 /// One executed job: its output plus scheduling metadata.
 ///
@@ -60,10 +22,9 @@ pub struct JobResult {
     pub id: String,
     /// What the job computed.
     pub output: JobOutput,
-    /// Wall-clock nanoseconds this job took (replay only; a cache miss
-    /// also pays the emulation inside this figure). For cells fused into
-    /// one cross-policy replay group, this is the whole group's wall
-    /// time, attributed to every member.
+    /// Wall-clock nanoseconds this job took: its trace fetch plus its
+    /// replay. The job whose fetch missed the cache pays the emulation
+    /// here, and a job that waited on another's emulation pays the wait.
     pub wall_ns: u128,
 }
 
@@ -295,21 +256,9 @@ impl Runner {
     /// clean, labeled [`RunError`] instead of unwinding into the caller,
     /// and every other job still completes.
     ///
-    /// The replay engine comes from `MDS_REPLAY` (see
-    /// [`ReplayEngine::from_env`]); use [`Runner::try_run_with_engine`] to
-    /// pin it explicitly.
+    /// Every job is one pool task: it fetches its trace from the cache,
+    /// replays it, and releases it.
     pub fn try_run(&self, grid: &Grid) -> Result<RunOutcome, RunError> {
-        self.try_run_with_engine(grid, ReplayEngine::from_env())
-    }
-
-    /// Like [`Runner::try_run`], but with an explicit [`ReplayEngine`]
-    /// instead of consulting the environment — the engine-equivalence
-    /// tests and benches compare both engines in one process this way.
-    pub fn try_run_with_engine(
-        &self,
-        grid: &Grid,
-        engine: ReplayEngine,
-    ) -> Result<RunOutcome, RunError> {
         let jobs = grid.jobs();
         let owned;
         let cache: &TraceCache = match &self.shared_cache {
@@ -325,49 +274,35 @@ impl Runner {
         // the totals (the serving metrics) stay exact.
         let hits_before = cache.hits();
         let misses_before = cache.misses();
-        // Groups are planned from grid order alone — never from worker
-        // timing — so the unit of scheduling is deterministic and serial
-        // and parallel runs fuse identically.
-        let groups = plan_groups(jobs, engine);
         let start = Instant::now();
-        let (slots, pool_report) = pool::try_run_indexed(self.workers, groups.len(), |gi| {
-            execute_group(jobs, &groups[gi], cache, engine)
+        let (slots, pool_report) = pool::try_run_indexed(self.workers, jobs.len(), |idx| {
+            let job = &jobs[idx];
+            let job_start = Instant::now();
+            let trace = cache.fetch(&job.workload, job.scale);
+            let output = execute(job, &trace);
+            drop(trace);
+            cache.release(&job.workload, job.scale);
+            JobResult {
+                id: job.id.clone(),
+                output,
+                wall_ns: job_start.elapsed().as_nanos(),
+            }
         });
         let wall_ns = start.elapsed().as_nanos();
-        let mut results: Vec<Option<JobResult>> = jobs.iter().map(|_| None).collect();
-        let mut failures: Vec<(usize, JobFailure)> = Vec::new();
+        let mut results = Vec::with_capacity(slots.len());
+        let mut failures = Vec::new();
         for slot in slots {
             match slot {
-                Ok(members) => {
-                    for (idx, result) in members {
-                        results[idx] = Some(result);
-                    }
-                }
-                // A panic fails the whole group: its members share one
-                // trace replay, so none of them produced a result.
-                Err(p) => {
-                    for &idx in &groups[p.index] {
-                        failures.push((
-                            idx,
-                            JobFailure {
-                                id: jobs[idx].id.clone(),
-                                message: p.message.clone(),
-                            },
-                        ));
-                    }
-                }
+                Ok(result) => results.push(result),
+                Err(p) => failures.push(JobFailure {
+                    id: jobs[p.index].id.clone(),
+                    message: p.message,
+                }),
             }
         }
         if !failures.is_empty() {
-            failures.sort_by_key(|(idx, _)| *idx);
-            return Err(RunError {
-                failures: failures.into_iter().map(|(_, f)| f).collect(),
-            });
+            return Err(RunError { failures });
         }
-        let results = results
-            .into_iter()
-            .map(|r| r.expect("every job belongs to exactly one group"))
-            .collect();
         let stats = RunStats {
             jobs: jobs.len(),
             workers: self.workers,
@@ -381,123 +316,12 @@ impl Runner {
     }
 }
 
-/// Partitions `jobs` (by index) into the units the pool schedules.
-///
-/// The scratch engine keeps today's shape: one job per group. The fork
-/// engine fuses Multiscalar cells that replay the same trace on
-/// policy-twin hardware (see [`mds_multiscalar::forkable_twins`]) and
-/// superscalar cells over the same trace, so each fused group walks the
-/// shared replay prefix once. Grouping is first-fit over submission
-/// order, which keeps it a pure function of the grid.
-fn plan_groups(jobs: &[Job], engine: ReplayEngine) -> Vec<Vec<usize>> {
-    if engine == ReplayEngine::Scratch {
-        return (0..jobs.len()).map(|idx| vec![idx]).collect();
-    }
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for (idx, job) in jobs.iter().enumerate() {
-        let home = match &job.kind {
-            JobKind::Multiscalar(config) => groups.iter_mut().find(|g| {
-                let first = &jobs[g[0]];
-                first.trace_key() == job.trace_key()
-                    && matches!(&first.kind, JobKind::Multiscalar(other)
-                        if mds_multiscalar::forkable_twins(other, config))
-            }),
-            JobKind::Superscalar(_) => groups.iter_mut().find(|g| {
-                let first = &jobs[g[0]];
-                first.trace_key() == job.trace_key()
-                    && matches!(&first.kind, JobKind::Superscalar(_))
-            }),
-            JobKind::Window(_) | JobKind::Summary => None,
-        };
-        match home {
-            Some(group) => group.push(idx),
-            None => groups.push(vec![idx]),
-        }
-    }
-    groups
-}
-
-/// Runs one scheduling group and returns `(job index, result)` pairs.
-///
-/// The trace is fetched (and released) once *per member*, not once per
-/// group: cache hit/miss counters stay a per-cell contract regardless of
-/// how cells were fused, and pin counts still balance.
-fn execute_group(
-    jobs: &[Job],
-    group: &[usize],
-    cache: &TraceCache,
-    engine: ReplayEngine,
-) -> Vec<(usize, JobResult)> {
-    let start = Instant::now();
-    let traces: Vec<_> = group
-        .iter()
-        .map(|&idx| cache.fetch(&jobs[idx].workload, jobs[idx].scale))
-        .collect();
-    let outputs: Vec<JobOutput> = if group.len() == 1 {
-        vec![execute(&jobs[group[0]], &traces[0], engine)]
-    } else {
-        match &jobs[group[0]].kind {
-            JobKind::Multiscalar(_) => {
-                let configs: Vec<MsConfig> = group
-                    .iter()
-                    .map(|&idx| match &jobs[idx].kind {
-                        JobKind::Multiscalar(config) => config.clone(),
-                        _ => unreachable!("fused groups are homogeneous"),
-                    })
-                    .collect();
-                mds_multiscalar::run_fused(&traces[0], &configs)
-                    .into_iter()
-                    .map(JobOutput::Multiscalar)
-                    .collect()
-            }
-            JobKind::Superscalar(_) => {
-                let configs: Vec<OooConfig> = group
-                    .iter()
-                    .map(|&idx| match &jobs[idx].kind {
-                        JobKind::Superscalar(config) => *config,
-                        _ => unreachable!("fused groups are homogeneous"),
-                    })
-                    .collect();
-                mds_ooo::run_fused(traces[0].records(), &configs)
-                    .into_iter()
-                    .map(JobOutput::Superscalar)
-                    .collect()
-            }
-            JobKind::Window(_) | JobKind::Summary => {
-                unreachable!("only multiscalar and superscalar cells fuse")
-            }
-        }
-    };
-    drop(traces);
-    for &idx in group {
-        cache.release(&jobs[idx].workload, jobs[idx].scale);
-    }
-    let wall_ns = start.elapsed().as_nanos();
-    group
-        .iter()
-        .zip(outputs)
-        .map(|(&idx, output)| {
-            (
-                idx,
-                JobResult {
-                    id: jobs[idx].id.clone(),
-                    output,
-                    wall_ns,
-                },
-            )
-        })
-        .collect()
-}
-
 /// Replays one job's computation over a captured trace.
-fn execute(job: &Job, trace: &Trace, engine: ReplayEngine) -> JobOutput {
+fn execute(job: &Job, trace: &Trace) -> JobOutput {
     match &job.kind {
-        JobKind::Multiscalar(config) => JobOutput::Multiscalar(match engine {
-            ReplayEngine::Scratch => {
-                Multiscalar::new(config.clone()).run_trace(trace.records().iter().copied())
-            }
-            ReplayEngine::Fork => mds_multiscalar::run_planned(trace, config),
-        }),
+        JobKind::Multiscalar(config) => {
+            JobOutput::Multiscalar(mds_multiscalar::run_planned(trace, config))
+        }
         JobKind::Window(config) => {
             let mut analyzer = WindowAnalyzer::new(config.clone());
             for d in trace.records() {
@@ -578,7 +402,7 @@ mod tests {
             .as_multiscalar()
             .expect("multiscalar cell")
             .clone();
-        let direct = Multiscalar::new(MsConfig::paper(4, Policy::Always))
+        let direct = mds_multiscalar::Multiscalar::new(MsConfig::paper(4, Policy::Always))
             .run(&compress.build(Scale::Tiny))
             .unwrap();
         assert_eq!(via_runner.cycles, direct.cycles);
@@ -671,96 +495,29 @@ mod tests {
     }
 
     #[test]
-    fn scratch_and_fork_engines_emit_identical_results() {
+    fn reference_walk_and_runner_emit_identical_results() {
         let grid = small_grid();
-        let scratch = Runner::new(2)
-            .try_run_with_engine(&grid, ReplayEngine::Scratch)
-            .unwrap();
-        let fork = Runner::new(2)
-            .try_run_with_engine(&grid, ReplayEngine::Fork)
-            .unwrap();
-        assert_eq!(
-            scratch.results_json().to_string(),
-            fork.results_json().to_string()
-        );
-        // Fusing cells must not change the cache accounting contract.
-        assert_eq!(scratch.stats.cache_misses, fork.stats.cache_misses);
-        assert_eq!(scratch.stats.cache_hits, fork.stats.cache_hits);
-        assert_eq!(scratch.stats.jobs, fork.stats.jobs);
-    }
-
-    #[test]
-    fn fork_engine_fuses_policy_twins_and_nothing_else() {
-        let compress = by_name("compress").unwrap();
-        let sc = by_name("sc").unwrap();
-        let mut grid = Grid::new(Scale::Tiny);
-        for policy in Policy::ALL {
-            grid.multiscalar(&compress, MsConfig::paper(4, policy));
-        }
-        for policy in [Policy::Never, Policy::Always] {
-            grid.multiscalar(&compress, MsConfig::paper(8, policy));
-        }
-        grid.multiscalar(&sc, MsConfig::paper(4, Policy::Always));
-        grid.summary(&compress);
-        grid.window(&compress, WindowConfig::default());
-        let jobs = grid.jobs();
-
-        let scratch = plan_groups(jobs, ReplayEngine::Scratch);
-        assert_eq!(scratch.len(), jobs.len(), "scratch never fuses");
-        assert!(scratch.iter().all(|g| g.len() == 1));
-
-        let fork = plan_groups(jobs, ReplayEngine::Fork);
-        // Expected fusion: 6 policies at 4 stages -> one group; the two
-        // 8-stage cells -> a second group (stages differ, so they are not
-        // twins of the first); sc runs alone (different trace); window and
-        // summary stay singletons.
-        assert_eq!(fork.len(), 5, "{fork:?}");
-        assert_eq!(fork[0], vec![0, 1, 2, 3, 4, 5]);
-        assert_eq!(fork[1], vec![6, 7]);
-        assert!(fork[2..].iter().all(|g| g.len() == 1));
-    }
-
-    #[test]
-    fn fork_engine_fuses_superscalar_cells_by_trace() {
-        let compress = by_name("compress").unwrap();
-        let sc = by_name("sc").unwrap();
-        let mut grid = Grid::new(Scale::Tiny);
-        for policy in [Policy::Never, Policy::Always, Policy::Esync] {
-            grid.superscalar(
-                &compress,
-                mds_ooo::OooConfig {
-                    policy,
-                    ..Default::default()
-                },
+        let outcome = Runner::new(2).run(&grid);
+        let mut cells = 0;
+        for (job, result) in grid.jobs().iter().zip(&outcome.results) {
+            let JobKind::Multiscalar(config) = &job.kind else {
+                continue;
+            };
+            let trace = Trace::capture(&job.workload.build(job.scale)).unwrap();
+            let oracle = mds_multiscalar::reference::run(&trace, config);
+            assert_eq!(
+                result.output.to_json().to_string(),
+                JobOutput::Multiscalar(oracle).to_json().to_string(),
+                "{}",
+                job.id
             );
+            cells += 1;
         }
-        grid.superscalar(
-            &sc,
-            mds_ooo::OooConfig {
-                policy: Policy::Always,
-                ..Default::default()
-            },
-        );
-        let jobs = grid.jobs();
-        let fork = plan_groups(jobs, ReplayEngine::Fork);
-        assert_eq!(fork.len(), 2, "{fork:?}");
-        assert_eq!(fork[0], vec![0, 1, 2]);
-        assert_eq!(fork[1], vec![3]);
-
-        let fused = Runner::new(2)
-            .try_run_with_engine(&grid, ReplayEngine::Fork)
-            .unwrap();
-        let scratch = Runner::new(2)
-            .try_run_with_engine(&grid, ReplayEngine::Scratch)
-            .unwrap();
-        assert_eq!(
-            fused.results_json().to_string(),
-            scratch.results_json().to_string()
-        );
+        assert_eq!(cells, 6);
     }
 
     #[test]
-    fn panicking_workload_fails_every_member_of_its_group() {
+    fn panicking_workload_fails_exactly_the_jobs_that_use_it() {
         fn broken_build(_: Scale) -> mds_isa::Program {
             panic!("synthetic workload bug")
         }
@@ -772,23 +529,46 @@ mod tests {
         };
         let mut grid = Grid::new(Scale::Tiny);
         for policy in [Policy::Never, Policy::Always] {
+            grid.multiscalar(&compress, MsConfig::paper(4, policy));
             grid.multiscalar(&broken, MsConfig::paper(4, policy));
         }
+        grid.summary(&broken);
         grid.summary(&compress);
-        let err = Runner::new(2)
-            .try_run_with_engine(&grid, ReplayEngine::Fork)
-            .unwrap_err();
-        assert_eq!(err.failures.len(), 2, "both fused cells fail: {err}");
-        assert!(err.failures[0].id.starts_with("broken/ms/"));
-        assert!(err.failures[1].id.starts_with("broken/ms/"));
-        assert!(err.failures[0].message.contains("synthetic workload bug"));
+        let err = Runner::new(2).try_run(&grid).unwrap_err();
+        let failed: Vec<&str> = err.failures.iter().map(|f| f.id.as_str()).collect();
+        let expected: Vec<&str> = grid
+            .jobs()
+            .iter()
+            .filter(|job| job.workload.name == "broken")
+            .map(|job| job.id.as_str())
+            .collect();
+        assert_eq!(failed, expected, "{err}");
+        assert_eq!(failed.len(), 3);
+        assert!(err
+            .failures
+            .iter()
+            .all(|f| f.message.contains("synthetic workload bug")));
     }
 
     #[test]
-    fn engine_from_env_defaults_to_fork() {
-        // Only documents the mapping; the env itself is process-global, so
-        // the parse rules are exercised through explicit strings instead.
-        assert_eq!(ReplayEngine::from_env(), ReplayEngine::Fork);
+    fn every_fig5_cell_is_one_pool_task_timed_on_its_own() {
+        let mut grid = Grid::new(Scale::Tiny);
+        for wl in mds_workloads::int92_suite() {
+            for stages in [4, 8] {
+                for policy in [Policy::Never, Policy::Always, Policy::Wait, Policy::PSync] {
+                    grid.multiscalar(&wl, MsConfig::paper(stages, policy));
+                }
+            }
+        }
+        let outcome = Runner::new(2).run(&grid);
+        let stats = &outcome.stats;
+        assert_eq!(stats.jobs, grid.len());
+        assert_eq!(stats.pool.executed.iter().sum::<u64>() as usize, stats.jobs);
+        // Each job's wall time is nested inside its worker's busy time, so
+        // per-job times can only add up to the pool's total if none of them
+        // is counted twice.
+        let job_ns: u128 = outcome.results.iter().map(|r| r.wall_ns).sum();
+        assert!(job_ns <= stats.pool.total_busy_ns(), "{job_ns} ns of jobs");
     }
 
     #[test]
