@@ -1,7 +1,8 @@
 //! Benchmarks for the simulators themselves (throughput of the emulator,
 //! the window analyzer, and the Multiscalar timing model). The
-//! `multiscalar/*` series time the public `Multiscalar::run`: emulation,
-//! plan build and replay on the planned engine.
+//! `multiscalar/*` series time the public `Multiscalar::run`: emulation
+//! into the plan's columns, the dependence pass and replay on the
+//! planned engine.
 //!
 //! Run with `cargo bench --bench simulators -- --scale small`; results are
 //! written to `BENCH_simulators.json` at the workspace root. The `--scale`

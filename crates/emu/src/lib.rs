@@ -46,5 +46,5 @@ pub mod trace;
 pub use dyninst::{BranchOutcome, DynInst, MemAccess};
 pub use machine::{EmuError, Emulator, MachineState, TraceSummary};
 pub use memory::Memory;
-pub use plan::{PlanBuilder, ReplayPlan};
+pub use plan::{Dependences, PlanBuilder, Records, ReplayPlan};
 pub use trace::{format_dyninst, format_trace, Trace};

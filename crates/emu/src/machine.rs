@@ -107,6 +107,29 @@ pub struct TraceSummary {
     pub tasks: u64,
 }
 
+impl TraceSummary {
+    /// Counts one committed record.
+    #[inline]
+    pub fn count(&mut self, d: &DynInst) {
+        self.instructions += 1;
+        if d.is_load() {
+            self.loads += 1;
+        }
+        if d.is_store() {
+            self.stores += 1;
+        }
+        if d.inst.op.is_control() {
+            self.branches += 1;
+            if d.inst.op.is_cond_branch() && d.branch.is_some_and(|b| b.taken) {
+                self.taken_branches += 1;
+            }
+        }
+        if d.new_task {
+            self.tasks += 1;
+        }
+    }
+}
+
 /// The functional emulator.
 ///
 /// See the [crate documentation](crate) for an example. An emulator borrows
@@ -189,22 +212,7 @@ impl<'p> Emulator<'p> {
             new_task,
         };
         self.seq += 1;
-        self.summary.instructions += 1;
-        if rec.is_load() {
-            self.summary.loads += 1;
-        }
-        if rec.is_store() {
-            self.summary.stores += 1;
-        }
-        if inst.op.is_control() {
-            self.summary.branches += 1;
-            if inst.op.is_cond_branch() && branch.is_some_and(|b| b.taken) {
-                self.summary.taken_branches += 1;
-            }
-        }
-        if new_task {
-            self.summary.tasks += 1;
-        }
+        self.summary.count(&rec);
         Ok(Some(rec))
     }
 

@@ -1,11 +1,12 @@
 //! Captured committed instruction streams, and their human-readable
 //! rendering.
 //!
-//! [`Trace`] is the machine-facing half: a fully-materialized committed
-//! stream that downstream simulators replay read-only. It is `Send + Sync`
-//! by construction, so one emulation can be shared across threads behind
-//! an `Arc` — the substrate of `mds-runner`'s shared trace cache, where
-//! every (workload × policy × config) grid cell replays the same stream.
+//! [`Trace`] is the machine-facing half: a fully-captured committed
+//! stream, held as the columns of its [`ReplayPlan`], that downstream
+//! simulators replay read-only. It is `Send + Sync` by construction, so
+//! one emulation can be shared across threads behind an `Arc` — the
+//! substrate of `mds-runner`'s shared trace cache, where every
+//! (workload × policy × config) grid cell replays the same stream.
 //!
 //! The rendering half is for humans: debugging a dependence-speculation
 //! study means staring at traces, so [`format_dyninst`] renders records
@@ -14,19 +15,23 @@
 
 use crate::dyninst::DynInst;
 use crate::machine::{EmuError, Emulator, TraceSummary};
-use crate::plan::ReplayPlan;
+use crate::plan::{PlanBuilder, Records, ReplayPlan};
 use mds_isa::Program;
+use std::borrow::Borrow;
 use std::fmt::Write as _;
-use std::sync::{Arc, OnceLock};
 
 /// A fully-captured committed instruction stream plus its aggregate
 /// counts.
 ///
-/// Unlike [`Emulator::run`], which hands back a bare `Vec<DynInst>`, a
-/// `Trace` keeps the [`TraceSummary`] alongside the records, so consumers
-/// that only need counts (e.g. table 1 of the paper) never re-walk the
-/// stream. The type is immutable after capture and `Send + Sync`, so it
-/// can be shared across worker threads behind an `Arc`.
+/// The stream is held once, as the columns of its [`ReplayPlan`]: the
+/// emulator writes them while it runs, and no `DynInst` record is kept.
+/// [`Trace::records`] decodes the records back on demand, and
+/// [`Trace::replay_plan`] resolves the Multiscalar dependence index on
+/// first use. The [`TraceSummary`] is kept alongside, so consumers that
+/// only need counts (e.g. table 1 of the paper) never walk the stream.
+/// The type is immutable after capture (the index is derived state) and
+/// `Send + Sync`, so it can be shared across worker threads behind an
+/// `Arc`.
 ///
 /// # Examples
 ///
@@ -45,40 +50,13 @@ use std::sync::{Arc, OnceLock};
 /// let trace = Trace::capture(&p)?;
 /// assert_eq!(trace.len() as u64, trace.summary().instructions);
 /// assert_eq!(trace.summary().taken_branches, 2);
+/// assert_eq!(trace.records().filter(|d| d.branch.is_some()).count(), 3);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
-    records: Vec<DynInst>,
+    plan: ReplayPlan,
     summary: TraceSummary,
-    /// Lazily-built structure-of-arrays view of `records` (see
-    /// [`ReplayPlan`]); built at most once per trace and shared by every
-    /// simulator replaying it.
-    plan: OnceLock<Arc<ReplayPlan>>,
-}
-
-impl Clone for Trace {
-    fn clone(&self) -> Trace {
-        // An already-built plan is carried over (it is a pure function of
-        // the records); an unbuilt one stays unbuilt.
-        let plan = OnceLock::new();
-        if let Some(p) = self.plan.get() {
-            let _ = plan.set(Arc::clone(p));
-        }
-        Trace {
-            records: self.records.clone(),
-            summary: self.summary,
-            plan,
-        }
-    }
-}
-
-impl PartialEq for Trace {
-    fn eq(&self, other: &Trace) -> bool {
-        // The plan is derived state; two traces are equal iff their
-        // captured streams are.
-        self.records == other.records && self.summary == other.summary
-    }
 }
 
 // The whole point of `Trace` is cross-thread sharing; keep that property
@@ -110,34 +88,45 @@ impl Trace {
         if let Some(limit) = limit {
             emu = emu.with_limit(limit);
         }
-        let records = emu.run()?;
+        let mut builder = PlanBuilder::for_program(program);
+        let summary = emu.run_with(|d| builder.push(d))?;
         Ok(Trace {
-            records,
-            summary: emu.summary(),
-            plan: OnceLock::new(),
+            plan: builder.finish(),
+            summary,
         })
     }
 
-    /// Wraps an already-collected committed stream and its counts.
-    pub fn from_parts(records: Vec<DynInst>, summary: TraceSummary) -> Trace {
+    /// Captures an already-collected committed stream, counting its
+    /// summary the way the emulator does.
+    ///
+    /// [`Trace::records`] yields each record with `seq` set to its
+    /// position; see [`PlanBuilder`] for the static-instruction table.
+    pub fn from_records(records: impl IntoIterator<Item = impl Borrow<DynInst>>) -> Trace {
+        let mut builder = PlanBuilder::default();
+        let mut summary = TraceSummary::default();
+        for d in records {
+            let d = d.borrow();
+            summary.count(d);
+            builder.push(d);
+        }
         Trace {
-            records,
+            plan: builder.finish(),
             summary,
-            plan: OnceLock::new(),
         }
     }
 
-    /// The structure-of-arrays replay plan for this trace, building it on
-    /// first use. Subsequent calls (from any thread) return the same
-    /// shared plan.
-    pub fn replay_plan(&self) -> &Arc<ReplayPlan> {
-        self.plan
-            .get_or_init(|| Arc::new(ReplayPlan::build(&self.records)))
+    /// The replay plan for this trace, with its dependence index resolved
+    /// on the first call. Subsequent calls (from any thread) return the
+    /// same plan and index.
+    pub fn replay_plan(&self) -> &ReplayPlan {
+        self.plan.deps();
+        &self.plan
     }
 
-    /// The committed records, in sequential order.
-    pub fn records(&self) -> &[DynInst] {
-        &self.records
+    /// The committed records in sequential order, decoded from the
+    /// plan's columns.
+    pub fn records(&self) -> Records<'_> {
+        self.plan.records()
     }
 
     /// Aggregate counts over the whole stream.
@@ -147,19 +136,19 @@ impl Trace {
 
     /// Number of committed instructions.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.plan.len()
     }
 
     /// `true` when the trace holds no records.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.plan.is_empty()
     }
 
-    /// Approximate resident size of the trace in bytes (records plus the
-    /// replay plan, if built) — the number a trace cache budgets against.
+    /// Approximate resident size of the trace in bytes (the plan's
+    /// columns, plus its dependence index once resolved) — the number a
+    /// trace cache budgets against.
     pub fn resident_bytes(&self) -> usize {
-        self.records.len() * std::mem::size_of::<DynInst>()
-            + self.plan.get().map_or(0, |p| p.resident_bytes())
+        self.plan.resident_bytes()
     }
 }
 
@@ -216,11 +205,11 @@ pub fn format_dyninst(d: &DynInst) -> String {
 /// Renders a whole trace (or a window of one) with one line per record.
 ///
 /// Intended for short traces and debugging sessions; for long workloads,
-/// slice first.
-pub fn format_trace<'a>(records: impl IntoIterator<Item = &'a DynInst>) -> String {
+/// pass a window (`trace.records().skip(n).take(m)`).
+pub fn format_trace(records: impl IntoIterator<Item = impl Borrow<DynInst>>) -> String {
     let mut out = String::new();
     for d in records {
-        out.push_str(&format_dyninst(d));
+        out.push_str(&format_dyninst(d.borrow()));
         out.push('\n');
     }
     out
@@ -232,27 +221,13 @@ mod tests {
     use crate::machine::Emulator;
     use mds_isa::{ProgramBuilder, Reg};
 
-    fn sample_trace() -> Vec<DynInst> {
-        let mut b = ProgramBuilder::new();
-        b.alloc("buf", 2);
-        b.la(Reg::S0, "buf");
-        b.li(Reg::T0, 2);
-        b.label("loop");
-        b.task();
-        b.ld(Reg::T1, Reg::S0, 0);
-        b.addi(Reg::T1, Reg::T1, 1);
-        b.sb(Reg::T1, Reg::S0, 8);
-        b.addi(Reg::T0, Reg::T0, -1);
-        b.bne(Reg::T0, Reg::ZERO, "loop");
-        b.halt();
-        let p = b.build().unwrap();
-        Emulator::new(&p).run().unwrap()
+    fn sample_trace() -> Trace {
+        Trace::capture(&sample_program()).unwrap()
     }
 
     #[test]
     fn annotates_memory_and_branches() {
-        let trace = sample_trace();
-        let text = format_trace(&trace);
+        let text = format_trace(sample_trace().records());
         assert!(text.contains("[load @0x10000000]"));
         assert!(text.contains("x1]"), "byte store shows its size: {text}");
         assert!(text.contains("[taken -> 2]"));
@@ -261,8 +236,7 @@ mod tests {
 
     #[test]
     fn marks_task_boundaries() {
-        let trace = sample_trace();
-        let boundaries = format_trace(&trace)
+        let boundaries = format_trace(sample_trace().records())
             .lines()
             .filter(|l| l.starts_with("==task=="))
             .count();
@@ -272,8 +246,7 @@ mod tests {
 
     #[test]
     fn plain_alu_lines_have_no_annotations() {
-        let trace = sample_trace();
-        let line = format_dyninst(&trace[1]); // li t0, 2
+        let line = format_dyninst(&sample_trace().records().nth(1).unwrap()); // li t0, 2
         assert!(!line.contains('['));
         assert!(line.contains("li t0, 2"));
     }
@@ -300,7 +273,8 @@ mod tests {
         let trace = Trace::capture(&p).unwrap();
         let mut emu = Emulator::new(&p);
         let records = emu.run().unwrap();
-        assert_eq!(trace.records(), &records[..]);
+        assert!(trace.records().eq(records.iter().copied()));
+        assert_eq!(trace.records().len(), records.len());
         assert_eq!(trace.summary(), emu.summary());
         assert_eq!(trace.len(), records.len());
         assert!(!trace.is_empty());
@@ -325,7 +299,7 @@ mod tests {
             (0..2)
                 .map(|_| {
                     let t = std::sync::Arc::clone(&trace);
-                    s.spawn(move || t.records().iter().filter(|d| d.is_load()).count() as u64)
+                    s.spawn(move || t.records().filter(|d| d.is_load()).count() as u64)
                 })
                 .collect::<Vec<_>>()
                 .into_iter()
@@ -337,13 +311,23 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_round_trips() {
+    fn from_records_round_trips_and_counts_like_the_emulator() {
         let p = sample_program();
         let mut emu = Emulator::new(&p);
         let records = emu.run().unwrap();
-        let summary = emu.summary();
-        let t = Trace::from_parts(records.clone(), summary);
-        assert_eq!(t.records(), &records[..]);
-        assert_eq!(t.summary(), summary);
+        let t = Trace::from_records(&records);
+        assert!(t.records().eq(records.iter().copied()));
+        assert_eq!(t.summary(), emu.summary());
+        assert_eq!(t, Trace::capture(&p).unwrap());
+    }
+
+    #[test]
+    fn the_dependence_index_is_resolved_on_first_replay_plan() {
+        let trace = Trace::capture(&sample_program()).unwrap();
+        let columns = trace.resident_bytes();
+        let plan = trace.replay_plan();
+        assert_eq!(plan.deps().loads() as u64, trace.summary().loads);
+        assert!(trace.resident_bytes() > columns);
+        assert!(std::ptr::eq(plan, trace.replay_plan()));
     }
 }

@@ -43,11 +43,12 @@ impl std::error::Error for AuditError {}
 /// `stages`-unit machine holds in flight together, and so the only ones
 /// it can violate.
 fn has_in_window_raw(plan: &ReplayPlan, stages: usize) -> bool {
+    let deps = plan.deps();
     (0..plan.tasks()).any(|k| {
-        let loads = plan.task_load_start[k] as usize..plan.task_load_start[k + 1] as usize;
-        plan.load_inter[loads]
+        let loads = deps.task_load_start[k] as usize..deps.task_load_start[k + 1] as usize;
+        deps.load_inter[loads]
             .iter()
-            .any(|&s| s != NONE && k - (plan.store_task[s as usize] as usize) < stages)
+            .any(|&s| s != NONE && k - (deps.store_task[s as usize] as usize) < stages)
     })
 }
 
@@ -60,23 +61,24 @@ fn has_in_window_raw(plan: &ReplayPlan, stages: usize) -> bool {
 pub fn audit(plan: &ReplayPlan, config: &MsConfig, result: &MsResult) -> Result<(), AuditError> {
     let policy = config.policy;
     let squashes = result.misspeculations;
+    let deps = plan.deps();
     // `(definition, got, expected)`, one per check.
     let mut checks: Vec<(String, u64, u64)> = vec![
         ("tasks".into(), result.tasks, plan.tasks() as u64),
         (
             "instructions".into(),
             result.instructions,
-            plan.pc.len() as u64,
+            plan.len() as u64,
         ),
         (
             "committed loads".into(),
             result.committed_loads,
-            plan.load_rec.len() as u64,
+            deps.loads() as u64,
         ),
         (
             "committed stores".into(),
             result.committed_stores,
-            plan.store_rec.len() as u64,
+            deps.stores() as u64,
         ),
     ];
     if matches!(policy, Policy::Never | Policy::PSync) {

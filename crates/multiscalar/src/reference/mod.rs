@@ -1,7 +1,7 @@
 //! The reference walk: the original record-stream Multiscalar simulator,
 //! kept as the cycle-exact oracle for the planned engine.
 //!
-//! [`run`] splits the committed [`DynInst`](mds_emu::DynInst) stream into
+//! [`run`] splits the committed [`DynInst`] stream into
 //! [`Task`]s and times each attempt by re-decoding operands and
 //! re-discovering store→load overlaps through per-task hash maps. It
 //! shares no scheduling code with
@@ -22,20 +22,22 @@ use crate::result::MsResult;
 use crate::task::{Task, TaskSplitter};
 use exec::{execute_attempt, ExecScratch, TaskRecord};
 use mds_core::{Ddc, SyncUnit, SyncUnitConfig};
-use mds_emu::Trace;
+use mds_emu::DynInst;
 use mds_isa::Pc;
 use mds_mem::{BankedCache, Bus, Cache};
 use mds_predict::{LruTable, PathHistory, PathPredictor};
 use std::collections::VecDeque;
 
-/// Replays `trace` under `config` on the reference walk.
+/// Replays the committed `records` under `config` on the reference walk.
 ///
 /// The result is byte-identical to [`run_planned`](crate::run_planned)
-/// over the same trace; any difference is a bug in one of the engines.
-pub fn run(trace: &Trace, config: &MsConfig) -> MsResult {
+/// over a trace of the same records; any difference is a bug in one of
+/// the engines. The walk reads the records themselves, not a trace's
+/// decoded columns, so it shares no input path with the planned engine.
+pub fn run(records: &[DynInst], config: &MsConfig) -> MsResult {
     let mut state = SimState::new(config);
     let mut splitter = TaskSplitter::new(None);
-    for &d in trace.records() {
+    for &d in records {
         if let Some(task) = splitter.push(d) {
             state.on_task(task);
         }

@@ -21,12 +21,10 @@
 use crate::config::MsConfig;
 use crate::result::MsResult;
 use mds_core::{Ddc, DepEdge, Policy, SyncUnit, SyncUnitConfig, TagScheme};
-use mds_emu::plan::{
-    ReplayPlan, FU_BRANCH, FU_COMPLEX, FU_FP, F_CONTROL, F_MEM, F_STORE, NONE, NO_REG,
-};
+use mds_emu::plan::{Dependences, ReplayPlan, F_CONTROL, F_MEM, F_STORE, NONE, NO_REG};
 use mds_emu::Trace;
 use mds_harness::hash::FxHashSet;
-use mds_isa::{Opcode, Pc};
+use mds_isa::{FuClass, Opcode, Pc};
 use mds_mem::{BankedCache, Bus, Cache};
 use mds_predict::{LruTable, PathHistory, PathPredictor};
 use std::collections::VecDeque;
@@ -361,6 +359,7 @@ fn resolve_cross(
 #[allow(clippy::too_many_arguments)]
 fn planned_attempt(
     plan: &ReplayPlan,
+    deps: &Dependences,
     k: usize,
     t0: u64,
     stage: usize,
@@ -416,7 +415,7 @@ fn planned_attempt(
     let mut in_group: u32 = 0;
 
     let mut intra_addr_ready: u64 = 0;
-    let store_base = plan.task_store_start[k] as usize;
+    let store_base = deps.task_store_start[k] as usize;
     let mut max_store_addr_ready: u64 = 0;
 
     let window_addr_ready = window
@@ -437,22 +436,20 @@ fn planned_attempt(
     let flags_a = &plan.flags[range.clone()];
     let pc_a = &plan.pc[range.clone()];
     let op_a = &plan.op[range.clone()];
-    let fu_a = &plan.fu[range.clone()];
     let src1_a = &plan.src1[range.clone()];
     let src2_a = &plan.src2[range.clone()];
-    let dst_a = &plan.dst[range.clone()];
-    let addr_a = &plan.addr[range.clone()];
-    let mem_ord_a = &plan.mem_ord[range];
+    let dst_a = &plan.dst[range];
     assert!(
         pc_a.len() == n
             && op_a.len() == n
-            && fu_a.len() == n
             && src1_a.len() == n
             && src2_a.len() == n
             && dst_a.len() == n
-            && addr_a.len() == n
-            && mem_ord_a.len() == n
     );
+    // Addresses and load ordinals are running counts from the task's
+    // first memory operation and first load.
+    let mut addrs = plan.mem_addr[deps.task_mem_start(k)..].iter();
+    let mut lo = deps.task_load_start[k] as usize;
 
     for j in 0..n {
         let flags = flags_a[j];
@@ -518,7 +515,7 @@ fn planned_attempt(
 
         // ---- Schedule on the functional units --------------------------
         let complete = if flags & F_MEM != 0 {
-            let addr = addr_a[j];
+            let addr = *addrs.next().expect("one address per memory operation");
             if flags & F_STORE != 0 {
                 intra_addr_ready = intra_addr_ready.max(base_ready);
                 max_store_addr_ready = max_store_addr_ready.max(base_ready);
@@ -528,25 +525,25 @@ fn planned_attempt(
                 complete
             } else {
                 // ---- Load: pre-resolved intra forwarding ---------------
-                let lo = mem_ord_a[j] as usize;
                 let mut ready_mem = ready.max(intra_addr_ready);
-                let intra = plan.load_intra[lo];
+                let intra = deps.load_intra[lo];
                 if intra != NONE {
                     ready_mem = ready_mem.max(store_complete[intra as usize - store_base]);
                 }
 
                 // Pre-resolved inter-task producer, if still in window:
                 // `(task index, store completion, store pc)`.
-                let inter = plan.load_inter[lo];
+                let inter = deps.load_inter[lo];
+                lo += 1;
                 let producer: Option<(usize, u64, Pc)> = if inter != NONE {
-                    let pt = plan.store_task[inter as usize] as usize;
+                    let pt = deps.store_task[inter as usize] as usize;
                     if pt >= win_base {
                         let rec = &window[pt - win_base];
-                        let local = (inter - plan.task_store_start[pt]) as usize;
+                        let local = (inter - deps.task_store_start[pt]) as usize;
                         Some((
                             pt,
                             rec.store_complete[local],
-                            plan.pc[plan.store_rec[inter as usize] as usize],
+                            plan.pc[deps.store_rec[inter as usize] as usize],
                         ))
                     } else {
                         None
@@ -603,11 +600,11 @@ fn planned_attempt(
                                             return None;
                                         }
                                         let rec = &window[ps - win_base];
-                                        let s0 = plan.task_store_start[ps] as usize;
-                                        let s1 = plan.task_store_start[ps + 1] as usize;
+                                        let s0 = deps.task_store_start[ps] as usize;
+                                        let s1 = deps.task_store_start[ps + 1] as usize;
                                         let mut best: Option<u64> = None;
                                         for s in s0..s1 {
-                                            if plan.pc[plan.store_rec[s] as usize]
+                                            if plan.pc[deps.store_rec[s] as usize]
                                                 == e.edge.store_pc
                                             {
                                                 let c = rec.store_complete[s - s0];
@@ -700,11 +697,11 @@ fn planned_attempt(
             }
         } else {
             let latency = lat[op_a[j] as usize];
-            let class_ports = match fu_a[j] {
-                FU_COMPLEX => &mut *complex_ports,
-                FU_FP => &mut *fp_ports,
-                FU_BRANCH => &mut *branch_ports,
-                _ => &mut *simple_ports,
+            let class_ports = match op_a[j].fu_class() {
+                FuClass::ComplexInt => &mut *complex_ports,
+                FuClass::Fp => &mut *fp_ports,
+                FuClass::Branch => &mut *branch_ports,
+                FuClass::SimpleInt | FuClass::Mem => &mut *simple_ports,
             };
             let start = class_ports.claim(issue_ports.claim(ready, 1), 1);
             start + latency
@@ -796,7 +793,7 @@ impl PSim {
         }
     }
 
-    fn on_task(&mut self, plan: &ReplayPlan, k: usize) {
+    fn on_task(&mut self, plan: &ReplayPlan, deps: &Dependences, k: usize) {
         let stage = k % self.config.stages;
         let start_pc = plan.task_start_pc[k];
 
@@ -837,6 +834,7 @@ impl PSim {
             };
             let outcome = planned_attempt(
                 plan,
+                deps,
                 k,
                 t0,
                 stage,
@@ -890,8 +888,8 @@ impl PSim {
         // --- Bookkeeping ---------------------------------------------------
         self.result.tasks += 1;
         self.result.instructions += plan.task_range(k).len() as u64;
-        self.result.committed_loads += plan.task_loads(k) as u64;
-        self.result.committed_stores += plan.task_stores(k) as u64;
+        self.result.committed_loads += deps.task_loads(k) as u64;
+        self.result.committed_stores += deps.task_stores(k) as u64;
         let mut last_write = [NO_TIME; REGS];
         for (di, slot) in last_write.iter_mut().enumerate() {
             if self.scratch.write_epoch[di] == self.scratch.reg_epoch {
@@ -931,8 +929,9 @@ impl PSim {
 
 /// Replays `trace` under `config` on the planned engine.
 ///
-/// The trace's [`ReplayPlan`] is built on first use and cached on the
-/// trace, so every configuration replaying the same trace shares it.
+/// The trace is its [`ReplayPlan`]'s columns; their dependence index is
+/// resolved on the first replay and cached on the plan, so every
+/// configuration replaying the same trace shares it.
 /// The result is byte-identical to [`reference::run`](crate::reference::run)
 /// over the same records.
 pub fn run_planned(trace: &Trace, config: &MsConfig) -> MsResult {
@@ -942,9 +941,10 @@ pub fn run_planned(trace: &Trace, config: &MsConfig) -> MsResult {
 /// Replays `plan` under `config`: the engine behind [`run_planned`] and
 /// the [`Multiscalar`](crate::Multiscalar) entry points.
 pub(crate) fn replay(plan: &ReplayPlan, config: &MsConfig) -> MsResult {
+    let deps = plan.deps();
     let mut sim = PSim::new(config.clone());
     for k in 0..plan.tasks() {
-        sim.on_task(plan, k);
+        sim.on_task(plan, deps, k);
     }
     sim.finish()
 }
@@ -956,8 +956,11 @@ mod tests {
     use mds_harness::json::ToJson;
     use mds_isa::{Program, ProgramBuilder, Reg};
 
-    fn capture(p: &Program) -> Trace {
-        Trace::capture(p).unwrap()
+    /// The captured trace, and the emulator's own records for the
+    /// reference walk (so a decode bug cannot hide behind a shared input).
+    fn capture(p: &Program) -> (Trace, Vec<mds_emu::DynInst>) {
+        let records = mds_emu::Emulator::new(p).run().unwrap();
+        (Trace::capture(p).unwrap(), records)
     }
 
     fn ports(width: u32, t0: u64) -> Ports {
@@ -1115,11 +1118,11 @@ mod tests {
             byte_store_tasks(40),
         ];
         for (pi, p) in programs.iter().enumerate() {
-            let trace = capture(p);
+            let (trace, records) = capture(p);
             for stages in [1, 4, 8] {
                 for policy in Policy::ALL {
                     let config = MsConfig::paper(stages, policy);
-                    let a = reference::run(&trace, &config);
+                    let a = reference::run(&records, &config);
                     let b = run_planned(&trace, &config);
                     assert_same(&a, &b, &format!("program {pi}, {stages} stages, {policy}"));
                 }
@@ -1129,17 +1132,17 @@ mod tests {
 
     #[test]
     fn planned_engine_matches_reference_with_ddcs_and_address_tagging() {
-        let trace = capture(&recurrence_tasks(80));
+        let (trace, records) = capture(&recurrence_tasks(80));
         let mut config = MsConfig::paper(4, Policy::Always).with_ddc_sizes(&[16, 64]);
         assert_same(
-            &reference::run(&trace, &config),
+            &reference::run(&records, &config),
             &run_planned(&trace, &config),
             "ddc",
         );
         config = MsConfig::paper(8, Policy::Sync);
         config.tagging = TagScheme::DataAddress;
         assert_same(
-            &reference::run(&trace, &config),
+            &reference::run(&records, &config),
             &run_planned(&trace, &config),
             "address tagging",
         );
@@ -1147,7 +1150,7 @@ mod tests {
 
     #[test]
     fn empty_trace_replays_to_an_empty_result() {
-        let trace = Trace::from_parts(Vec::new(), mds_emu::TraceSummary::default());
+        let trace = Trace::from_records(std::iter::empty::<mds_emu::DynInst>());
         let config = MsConfig::paper(4, Policy::Always);
         let r = run_planned(&trace, &config);
         assert_eq!(r.cycles, 0);

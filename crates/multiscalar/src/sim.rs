@@ -4,7 +4,7 @@
 use crate::config::MsConfig;
 use crate::replay::replay;
 use crate::result::MsResult;
-use mds_emu::{DynInst, EmuError, Emulator, PlanBuilder};
+use mds_emu::{EmuError, Emulator, PlanBuilder};
 use mds_isa::Program;
 
 /// A configured Multiscalar processor model.
@@ -14,7 +14,10 @@ use mds_isa::Program;
 /// stream on a fresh timing state with the planned engine (the engine
 /// behind [`run_planned`](crate::run_planned)), so results are
 /// deterministic and runs are independent. Records stream straight from
-/// the emulator into a [`PlanBuilder`]; none is kept.
+/// the emulator into a [`PlanBuilder`]'s columns; none is kept. Callers
+/// holding a [`Trace`](mds_emu::Trace) call
+/// [`run_planned`](crate::run_planned) instead, which resolves the
+/// trace's dependence index once for every configuration.
 ///
 /// See the [crate documentation](crate) for an example.
 #[derive(Debug, Clone)]
@@ -53,7 +56,7 @@ impl Multiscalar {
         if limit != u64::MAX {
             emu = emu.with_limit(limit);
         }
-        let mut plan = PlanBuilder::default();
+        let mut plan = PlanBuilder::for_program(program);
         match emu.run_with(|d| plan.push(d)) {
             Ok(_) => {}
             // A budget-limited run is still a valid (truncated) sample.
@@ -61,21 +64,6 @@ impl Multiscalar {
             Err(e) => return Err(e),
         }
         Ok(replay(&plan.finish(), &self.config))
-    }
-
-    /// Runs over an already-captured committed trace. Callers holding a
-    /// [`Trace`](mds_emu::Trace) should call
-    /// [`run_planned`](crate::run_planned) instead, which builds the
-    /// trace's plan once for every configuration.
-    pub fn run_trace<I>(&self, trace: I) -> MsResult
-    where
-        I: IntoIterator<Item = DynInst>,
-    {
-        let mut plan = PlanBuilder::default();
-        for d in trace {
-            plan.push(&d);
-        }
-        replay(&plan.finish(), &self.config)
     }
 }
 
@@ -302,17 +290,6 @@ mod tests {
             "accuracy {}",
             r.control_accuracy()
         );
-    }
-
-    #[test]
-    fn run_trace_equals_run() {
-        let p = recurrence_tasks(80);
-        let trace: Vec<_> = Emulator::new(&p).run().unwrap();
-        let sim = Multiscalar::new(MsConfig::paper(4, Policy::Sync));
-        let a = sim.run(&p).unwrap();
-        let b = sim.run_trace(trace);
-        assert_eq!(a.cycles, b.cycles);
-        assert_eq!(a.misspeculations, b.misspeculations);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! result document. Each result must also pass [`audit`].
 
 use mds_core::Policy;
-use mds_emu::{BranchOutcome, DynInst, MemAccess, Trace, TraceSummary};
+use mds_emu::{BranchOutcome, DynInst, MemAccess, Trace};
 use mds_harness::json::ToJson;
 use mds_harness::prelude::*;
 use mds_isa::{Instruction, Opcode, Pc, Reg};
@@ -113,13 +113,13 @@ properties! {
             .enumerate()
             .map(|(i, &(kind, sel))| record(i, kind, sel))
             .collect();
-        let trace = Trace::from_parts(records, TraceSummary::default());
+        let trace = Trace::from_records(&records);
 
         for stages in [1usize, 4, 8] {
             for policy in Policy::ALL {
                 let config = MsConfig::paper(stages, policy).with_ddc_sizes(&[4, 16]);
                 let planned = run_planned(&trace, &config);
-                let oracle = reference::run(&trace, &config);
+                let oracle = reference::run(&records, &config);
                 prop_assert_eq!(oracle.cycles, planned.cycles);
                 prop_assert_eq!(oracle.misspeculations, planned.misspeculations);
                 prop_assert_eq!(oracle.synchronized_loads, planned.synchronized_loads);

@@ -20,6 +20,7 @@ use mds_core::{DepEdge, LoadDecision, Policy, PredictionBreakdown, SyncUnit, Syn
 use mds_emu::DynInst;
 use mds_harness::hash::FxHashMap;
 use mds_isa::{Addr, FuClass, Pc};
+use std::borrow::Borrow;
 use std::collections::VecDeque;
 
 /// Configuration of the superscalar model.
@@ -247,8 +248,10 @@ impl OooSim {
         best
     }
 
-    /// Feeds the next committed instruction.
-    pub fn observe(&mut self, d: &DynInst) {
+    /// Feeds the next committed instruction (a record, or a reference to
+    /// one).
+    pub fn observe(&mut self, d: impl Borrow<DynInst>) {
+        let d = d.borrow();
         self.result.instructions += 1;
         let dispatch = self.dispatch_slot();
         // Operand readiness from register dataflow.

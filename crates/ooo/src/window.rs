@@ -5,6 +5,7 @@ use mds_emu::DynInst;
 use mds_harness::hash::FxHashMap;
 use mds_isa::{Addr, Pc};
 use mds_sim::stats::{Histogram, Percent};
+use std::borrow::Borrow;
 
 /// Configuration for a [`WindowAnalyzer`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -191,8 +192,10 @@ impl WindowAnalyzer {
         }
     }
 
-    /// Feeds one committed instruction.
-    pub fn observe(&mut self, d: &DynInst) {
+    /// Feeds one committed instruction (a record, or a reference to
+    /// one).
+    pub fn observe(&mut self, d: impl Borrow<DynInst>) {
+        let d = d.borrow();
         self.instructions += 1;
         let Some(mem) = d.mem else { return };
         if mem.is_store {
@@ -322,8 +325,8 @@ mod tests {
     #[test]
     fn dependence_within_window_counts() {
         let mut a = analyzer(&[8]);
-        a.observe(&dyn_mem(0, 1, 0x100, 8, true));
-        a.observe(&dyn_mem(1, 2, 0x100, 8, false));
+        a.observe(dyn_mem(0, 1, 0x100, 8, true));
+        a.observe(dyn_mem(1, 2, 0x100, 8, false));
         let r = a.finish();
         assert_eq!(r.for_window(8).unwrap().misspeculations, 1);
         assert_eq!(r.loads, 1);
@@ -333,11 +336,11 @@ mod tests {
     #[test]
     fn dependence_outside_window_does_not_count() {
         let mut a = analyzer(&[4, 64]);
-        a.observe(&dyn_mem(0, 1, 0x100, 8, true));
+        a.observe(dyn_mem(0, 1, 0x100, 8, true));
         for s in 1..10 {
-            a.observe(&dyn_plain(s));
+            a.observe(dyn_plain(s));
         }
-        a.observe(&dyn_mem(10, 2, 0x100, 8, false)); // distance 10
+        a.observe(dyn_mem(10, 2, 0x100, 8, false)); // distance 10
         let r = a.finish();
         assert_eq!(r.for_window(4).unwrap().misspeculations, 0);
         assert_eq!(r.for_window(64).unwrap().misspeculations, 1);
@@ -346,9 +349,9 @@ mod tests {
     #[test]
     fn youngest_store_wins() {
         let mut a = analyzer(&[64]);
-        a.observe(&dyn_mem(0, 1, 0x100, 8, true));
-        a.observe(&dyn_mem(1, 3, 0x100, 8, true)); // younger store, pc 3
-        a.observe(&dyn_mem(2, 9, 0x100, 8, false));
+        a.observe(dyn_mem(0, 1, 0x100, 8, true));
+        a.observe(dyn_mem(1, 3, 0x100, 8, true)); // younger store, pc 3
+        a.observe(dyn_mem(2, 9, 0x100, 8, false));
         let r = a.finish();
         let w = r.for_window(64).unwrap();
         assert_eq!(w.misspeculations, 1);
@@ -363,11 +366,11 @@ mod tests {
     fn byte_and_word_overlap_detected() {
         let mut a = analyzer(&[64]);
         // Byte store into the middle of a word; word load sees it.
-        a.observe(&dyn_mem(0, 1, 0x103, 1, true));
-        a.observe(&dyn_mem(1, 2, 0x100, 8, false));
+        a.observe(dyn_mem(0, 1, 0x103, 1, true));
+        a.observe(dyn_mem(1, 2, 0x100, 8, false));
         // Word store; byte load within it sees it.
-        a.observe(&dyn_mem(2, 3, 0x200, 8, true));
-        a.observe(&dyn_mem(3, 4, 0x205, 1, false));
+        a.observe(dyn_mem(2, 3, 0x200, 8, true));
+        a.observe(dyn_mem(3, 4, 0x205, 1, false));
         let r = a.finish();
         assert_eq!(r.for_window(64).unwrap().misspeculations, 2);
     }
@@ -375,9 +378,9 @@ mod tests {
     #[test]
     fn disjoint_addresses_no_dependence() {
         let mut a = analyzer(&[64]);
-        a.observe(&dyn_mem(0, 1, 0x100, 8, true));
-        a.observe(&dyn_mem(1, 2, 0x108, 8, false));
-        a.observe(&dyn_mem(2, 3, 0x0f8, 8, false));
+        a.observe(dyn_mem(0, 1, 0x100, 8, true));
+        a.observe(dyn_mem(1, 2, 0x108, 8, false));
+        a.observe(dyn_mem(2, 3, 0x0f8, 8, false));
         let r = a.finish();
         assert_eq!(r.for_window(64).unwrap().misspeculations, 0);
     }
@@ -388,11 +391,11 @@ mod tests {
         // Dependences at distances 4, 20, 100.
         let mut seq = 0u64;
         let mut emit_dep = |a: &mut WindowAnalyzer, gap: u64, addr: Addr| {
-            a.observe(&dyn_mem(seq, 1, addr, 8, true));
+            a.observe(dyn_mem(seq, 1, addr, 8, true));
             for s in 1..gap {
-                a.observe(&dyn_plain(seq + s));
+                a.observe(dyn_plain(seq + s));
             }
-            a.observe(&dyn_mem(seq + gap, 2, addr, 8, false));
+            a.observe(dyn_mem(seq + gap, 2, addr, 8, false));
             seq += gap + 1;
         };
         emit_dep(&mut a, 4, 0x100);
@@ -438,8 +441,8 @@ mod tests {
         let mut a = analyzer(&[64]);
         // Same edge repeatedly: first observation misses, rest hit.
         for i in 0..10 {
-            a.observe(&dyn_mem(i * 2, 1, 0x100, 8, true));
-            a.observe(&dyn_mem(i * 2 + 1, 2, 0x100, 8, false));
+            a.observe(dyn_mem(i * 2, 1, 0x100, 8, true));
+            a.observe(dyn_mem(i * 2 + 1, 2, 0x100, 8, false));
         }
         let r = a.finish();
         let rate = r.for_window(64).unwrap().ddc_miss_rate(2).unwrap();
@@ -450,12 +453,12 @@ mod tests {
     #[test]
     fn distance_histogram_records_every_dependent_load() {
         let mut a = analyzer(&[8]);
-        a.observe(&dyn_mem(0, 1, 0x100, 8, true));
-        a.observe(&dyn_mem(1, 2, 0x100, 8, false)); // distance 1
+        a.observe(dyn_mem(0, 1, 0x100, 8, true));
+        a.observe(dyn_mem(1, 2, 0x100, 8, false)); // distance 1
         for s in 2..12 {
-            a.observe(&dyn_plain(s));
+            a.observe(dyn_plain(s));
         }
-        a.observe(&dyn_mem(12, 3, 0x100, 8, false)); // distance 12
+        a.observe(dyn_mem(12, 3, 0x100, 8, false)); // distance 12
         let r = a.finish();
         assert_eq!(r.dependence_distances.count(), 2);
         assert_eq!(r.dependence_distances.max(), 12);

@@ -73,7 +73,7 @@ impl std::fmt::Debug for TraceCache {
 impl TraceCache {
     /// Builds a cache whose reference counts are seeded from `jobs`: each
     /// job contributes one fetch/release pair for its trace key.
-    pub fn new(jobs: &[Job]) -> TraceCache {
+    pub fn new<'a>(jobs: impl IntoIterator<Item = &'a Job>) -> TraceCache {
         let mut slots: HashMap<Key, Slot> = HashMap::new();
         for job in jobs {
             slots

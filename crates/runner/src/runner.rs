@@ -4,9 +4,11 @@
 use crate::cache::TraceCache;
 use crate::job::{Grid, Job, JobKind, JobOutput};
 use crate::pool::{self, PoolReport};
+use crate::wire;
 use mds_emu::Trace;
 use mds_harness::json::{Json, ToJson};
 use mds_ooo::{OooSim, WindowAnalyzer};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
@@ -25,14 +27,20 @@ pub struct JobResult {
     /// Wall-clock nanoseconds this job took: its trace fetch plus its
     /// replay. The job whose fetch missed the cache pays the emulation
     /// here, and a job that waited on another's emulation pays the wait.
+    /// A duplicate (a later job identical to an earlier one but for its
+    /// id) did not run: it shares the earlier job's output and reports 0.
     pub wall_ns: u128,
 }
 
 /// Aggregate observability for one [`Runner::run`].
 #[derive(Debug, Clone)]
 pub struct RunStats {
-    /// Cells executed.
+    /// Cells in the grid, duplicates included.
     pub jobs: usize,
+    /// Cells identical to an earlier cell but for their id: each shares
+    /// that cell's output instead of running, so the pool ran
+    /// `jobs - duplicates` tasks.
+    pub duplicates: usize,
     /// Worker threads used.
     pub workers: usize,
     /// Trace-cache fetches served from memory.
@@ -63,8 +71,10 @@ impl RunStats {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "runner: {} jobs on {} worker{} in {:.2}s ({:.0}% utilization)",
+            "runner: {} jobs ({} duplicate{}) on {} worker{} in {:.2}s ({:.0}% utilization)",
             self.jobs,
+            self.duplicates,
+            if self.duplicates == 1 { "" } else { "s" },
             self.workers,
             if self.workers == 1 { "" } else { "s" },
             self.wall_ns as f64 / 1e9,
@@ -256,15 +266,29 @@ impl Runner {
     /// clean, labeled [`RunError`] instead of unwinding into the caller,
     /// and every other job still completes.
     ///
-    /// Every job is one pool task: it fetches its trace from the cache,
-    /// replays it, and releases it.
+    /// Every distinct job is one pool task: it fetches its trace from the
+    /// cache, replays it, and releases it. Jobs identical but for their
+    /// id (equal [`wire::job_key`]s) run once, and every one of them gets
+    /// that output, in submission order.
     pub fn try_run(&self, grid: &Grid) -> Result<RunOutcome, RunError> {
         let jobs = grid.jobs();
+        // `distinct[u]` is the first job with the `u`-th distinct key, and
+        // `served_by[i]` the distinct task whose output job `i` takes.
+        let mut distinct: Vec<usize> = Vec::new();
+        let mut served_by: Vec<usize> = Vec::with_capacity(jobs.len());
+        let mut first: HashMap<String, usize> = HashMap::new();
+        for (i, job) in jobs.iter().enumerate() {
+            let u = *first.entry(wire::job_key(job)).or_insert_with(|| {
+                distinct.push(i);
+                distinct.len() - 1
+            });
+            served_by.push(u);
+        }
         let owned;
         let cache: &TraceCache = match &self.shared_cache {
             Some(shared) => shared,
             None => {
-                owned = TraceCache::new(jobs);
+                owned = TraceCache::new(distinct.iter().map(|&i| &jobs[i]));
                 &owned
             }
         };
@@ -275,28 +299,28 @@ impl Runner {
         let hits_before = cache.hits();
         let misses_before = cache.misses();
         let start = Instant::now();
-        let (slots, pool_report) = pool::try_run_indexed(self.workers, jobs.len(), |idx| {
-            let job = &jobs[idx];
+        let (slots, pool_report) = pool::try_run_indexed(self.workers, distinct.len(), |u| {
+            let job = &jobs[distinct[u]];
             let job_start = Instant::now();
             let trace = cache.fetch(&job.workload, job.scale);
             let output = execute(job, &trace);
             drop(trace);
             cache.release(&job.workload, job.scale);
-            JobResult {
-                id: job.id.clone(),
-                output,
-                wall_ns: job_start.elapsed().as_nanos(),
-            }
+            (output, job_start.elapsed().as_nanos())
         });
         let wall_ns = start.elapsed().as_nanos();
-        let mut results = Vec::with_capacity(slots.len());
+        let mut results = Vec::with_capacity(jobs.len());
         let mut failures = Vec::new();
-        for slot in slots {
-            match slot {
-                Ok(result) => results.push(result),
+        for (i, (job, &u)) in jobs.iter().zip(&served_by).enumerate() {
+            match &slots[u] {
+                Ok((output, ns)) => results.push(JobResult {
+                    id: job.id.clone(),
+                    output: output.clone(),
+                    wall_ns: if distinct[u] == i { *ns } else { 0 },
+                }),
                 Err(p) => failures.push(JobFailure {
-                    id: jobs[p.index].id.clone(),
-                    message: p.message,
+                    id: job.id.clone(),
+                    message: p.message.clone(),
                 }),
             }
         }
@@ -305,6 +329,7 @@ impl Runner {
         }
         let stats = RunStats {
             jobs: jobs.len(),
+            duplicates: jobs.len() - distinct.len(),
             workers: self.workers,
             cache_hits: cache.hits() - hits_before,
             cache_misses: cache.misses() - misses_before,
@@ -417,7 +442,8 @@ mod tests {
     fn stats_render_mentions_cache_and_utilization() {
         let compress = by_name("compress").unwrap();
         let mut grid = Grid::new(Scale::Tiny);
-        grid.summary(&compress).summary(&compress);
+        grid.summary(&compress)
+            .window(&compress, WindowConfig::default());
         let outcome = Runner::new(2).run(&grid);
         let text = outcome.stats.render();
         assert!(text.contains("trace cache: 1 emulation, 1 reuse"), "{text}");
@@ -503,8 +529,9 @@ mod tests {
             let JobKind::Multiscalar(config) = &job.kind else {
                 continue;
             };
-            let trace = Trace::capture(&job.workload.build(job.scale)).unwrap();
-            let oracle = mds_multiscalar::reference::run(&trace, config);
+            let program = job.workload.build(job.scale);
+            let records = mds_emu::Emulator::new(&program).run().unwrap();
+            let oracle = mds_multiscalar::reference::run(&records, config);
             assert_eq!(
                 result.output.to_json().to_string(),
                 JobOutput::Multiscalar(oracle).to_json().to_string(),
@@ -569,6 +596,39 @@ mod tests {
         // is counted twice.
         let job_ns: u128 = outcome.results.iter().map(|r| r.wall_ns).sum();
         assert!(job_ns <= stats.pool.total_busy_ns(), "{job_ns} ns of jobs");
+    }
+
+    #[test]
+    fn duplicate_jobs_run_once_and_share_their_output() {
+        let compress = by_name("compress").unwrap();
+        let mut grid = Grid::new(Scale::Tiny);
+        grid.multiscalar(&compress, MsConfig::paper(4, Policy::Sync));
+        grid.window(&compress, WindowConfig::default());
+        for (id, stages) in [("again", 4), ("eight", 8), ("and-again", 4)] {
+            let mut job = grid.jobs()[0].clone();
+            job.id = id.into();
+            job.kind = JobKind::Multiscalar(MsConfig::paper(stages, Policy::Sync));
+            grid.push(job);
+        }
+        let outcome = Runner::new(2).run(&grid);
+        let stats = &outcome.stats;
+        assert_eq!((stats.jobs, stats.duplicates), (5, 2));
+        assert_eq!(stats.pool.executed.iter().sum::<u64>(), 3);
+        let json = |id: &str| outcome.get(id).unwrap().output.to_json().to_string();
+        let first = &outcome.results[0];
+        assert_eq!(json("again"), json(&first.id));
+        assert_eq!(json("and-again"), json(&first.id));
+        assert_ne!(json("eight"), json(&first.id));
+        assert_eq!(outcome.get("again").unwrap().wall_ns, 0);
+        // Submission order and ids are kept.
+        let ids: Vec<&str> = outcome.results.iter().map(|r| r.id.as_str()).collect();
+        let want: Vec<&str> = grid.jobs().iter().map(|j| j.id.as_str()).collect();
+        assert_eq!(ids, want);
+        assert!(
+            stats.render().contains("(2 duplicates)"),
+            "{}",
+            stats.render()
+        );
     }
 
     #[test]

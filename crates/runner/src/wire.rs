@@ -66,6 +66,18 @@ pub fn encode_job(job: &Job) -> Json {
         .field("config", config)
 }
 
+/// What `job` computes, as a string: its wire encoding with the id
+/// left out. The encoding carries the workload, scale, kind and every
+/// configuration field (a backend rebuilds the job from it), so two jobs
+/// with equal keys produce equal outputs.
+pub fn job_key(job: &Job) -> String {
+    encode_job(&Job {
+        id: String::new(),
+        ..job.clone()
+    })
+    .to_string()
+}
+
 /// Decodes a job encoded by [`encode_job`]. The workload is resolved
 /// through the registry by name, so decoding also validates that this
 /// process knows the workload (static suites and WDL registrations

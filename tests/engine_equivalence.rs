@@ -7,7 +7,7 @@
 //! cycles; this test proves it cell by cell against the oracle and
 //! against the paper's definitions, so a divergence names its cell.
 
-use mds::emu::Trace;
+use mds::emu::{DynInst, Emulator, Trace};
 use mds::multiscalar::{audit, reference, run_planned};
 use mds::runner::JobKind;
 use mds::workloads::Scale;
@@ -20,19 +20,26 @@ fn every_pinned_multiscalar_cell_matches_the_reference_and_passes_the_audit() {
         .iter()
         .map(|id| id.to_string())
         .collect();
-    let mut traces: HashMap<&str, Trace> = HashMap::new();
+    // Each workload's trace, and the emulator's own records for the
+    // reference walk, so a decode bug cannot hide behind a shared input.
+    let mut traces: HashMap<&str, (Trace, Vec<DynInst>)> = HashMap::new();
     let mut checked = 0;
     for cell in mds_bench::grid::cells(&ids, Scale::Tiny) {
         let JobKind::Multiscalar(config) = &cell.job.kind else {
             continue;
         };
         let workload = cell.job.workload;
-        let trace = traces.entry(workload.name).or_insert_with(|| {
-            Trace::capture(&workload.build(Scale::Tiny)).expect("workload emulates")
+        let (trace, records) = traces.entry(workload.name).or_insert_with(|| {
+            let program = workload.build(Scale::Tiny);
+            let records = Emulator::new(&program).run().expect("workload emulates");
+            (
+                Trace::capture(&program).expect("workload emulates"),
+                records,
+            )
         });
         let id = &cell.job.id;
         let planned = run_planned(trace, config);
-        let oracle = reference::run(trace, config);
+        let oracle = reference::run(records, config);
         assert_eq!(
             planned.to_json().to_string(),
             oracle.to_json().to_string(),

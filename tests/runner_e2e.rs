@@ -8,6 +8,7 @@ use mds::core::Policy;
 use mds::multiscalar::{MsConfig, MsResult};
 use mds::runner::{Grid, RunOutcome, Runner};
 use mds::workloads::{int92_suite, Scale};
+use mds_harness::json::ToJson;
 
 const STAGES: [usize; 2] = [4, 8];
 const POLICIES: [Policy; 4] = [Policy::Never, Policy::Always, Policy::Wait, Policy::PSync];
@@ -94,4 +95,41 @@ fn runner_cells_match_direct_serial_simulation() {
     assert_eq!(via_runner.cycles, direct.cycles);
     assert_eq!(via_runner.misspeculations, direct.misspeculations);
     assert_eq!(via_runner.instructions, direct.instructions);
+}
+
+#[test]
+fn the_all_experiments_grid_runs_each_distinct_cell_once() {
+    let ids: Vec<String> = mds_bench::EXPERIMENT_IDS
+        .iter()
+        .map(|id| id.to_string())
+        .collect();
+    let mut grid = Grid::new(Scale::Tiny);
+    for cell in mds_bench::grid::cells(&ids, Scale::Tiny) {
+        grid.push(cell.job);
+    }
+    assert_eq!(grid.len(), 187);
+
+    let outcome = Runner::new(2).run(&grid);
+    let stats = &outcome.stats;
+    assert_eq!(stats.jobs, 187);
+    assert_eq!(stats.duplicates, 9);
+    assert_eq!(stats.pool.executed.iter().sum::<u64>(), 178);
+    assert_eq!(outcome.results.len(), 187);
+
+    // Each duplicate takes the output of the earlier, identical cell,
+    // and reports no wall time of its own.
+    for (dup, first) in [
+        ("custom/tagging/compress/distance", "ms/compress/8/SYNC"),
+        ("custom/counter/3/3", "ms/compress/8/SYNC"),
+        ("custom/mdpt/gcc/64", "ms/gcc/8/ESYNC"),
+    ] {
+        let dup = outcome.get(dup).expect("duplicate cell");
+        let first = outcome.get(first).expect("first cell");
+        assert_eq!(
+            dup.output.to_json().to_string(),
+            first.output.to_json().to_string()
+        );
+        assert_eq!(dup.wall_ns, 0);
+        assert!(first.wall_ns > 0);
+    }
 }
